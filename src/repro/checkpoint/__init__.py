@@ -2,7 +2,7 @@
 
 ``repro.checkpoint`` is the durability layer under the sharded runtime
 (:mod:`repro.parallel`): the whole simulation world — engine clock/heap,
-RNG streams, servers and pool cohorts, in-flight flows, scheduler, fault
+RNG streams, servers, in-flight flows, scheduler, fault
 injector, facility state — is pickled as one object graph at a window
 barrier (a naturally consistent cut) and written atomically with a schema
 version and a config fingerprint that refuses restore into a mismatched

@@ -35,8 +35,10 @@ from typing import Any, Dict, Tuple
 CHECKPOINT_KIND = "repro-checkpoint"
 
 #: Bump when the envelope or payload schema changes incompatibly; restore
-#: refuses a foreign version rather than mis-deserializing it.
-CHECKPOINT_VERSION = 1
+#: refuses a foreign version rather than mis-deserializing it.  Version 2
+#: dropped the pooled idle-server path: version-1 payloads pickle pool
+#: cohorts and a scenario spec with a ``pool`` field.
+CHECKPOINT_VERSION = 2
 
 #: Spec fields that do not shape the simulated world (see module docstring).
 _FINGERPRINT_EXCLUDED_FIELDS = ("chaos", "audit", "max_windows")

@@ -68,7 +68,7 @@ from repro.experiments import (
     validation_switch,
 )
 # Safe to import eagerly here: repro.experiments (above) is already loaded,
-# so repro.parallel.scenarios' import of resolve_pool cannot cycle.
+# so repro.parallel.scenarios' imports of repro.experiments cannot cycle.
 from repro.parallel import DurabilityOptions, RunInterrupted
 from repro.workload.profiles import (
     WorkloadProfile,
@@ -485,12 +485,6 @@ def _cmd_ai_training(args: argparse.Namespace) -> None:
 
 
 def _cmd_scalability(args: argparse.Namespace) -> None:
-    if args.force_pool:
-        pool = True
-    elif args.no_pool:
-        pool = False
-    else:
-        pool = "auto"
     durability = _durability(args)
     if args.shards is not None or durability is not None:
         _print_sharded(
@@ -500,7 +494,6 @@ def _cmd_scalability(args: argparse.Namespace) -> None:
                 shards=args.shards if args.shards is not None else 1,
                 partitions=args.partitions,
                 seed=args.seed,
-                pool="on" if pool is True else "off" if pool is False else pool,
                 audit=_audit_mode(args),
                 durability=durability,
             )
@@ -510,13 +503,12 @@ def _cmd_scalability(args: argparse.Namespace) -> None:
         sweep = scalability.run_scalability_sweep(
             args.sizes, n_jobs=args.num_jobs, seed=args.seed, jobs=args.jobs,
             sweep_options=_sweep_options(args), audit=_audit_mode(args),
-            pool=pool,
         )
         print(sweep.render())
         return
     result = scalability.run_scalability(
         n_servers=args.servers, n_jobs=args.num_jobs, seed=args.seed,
-        audit=_audit_mode(args), pool=pool,
+        audit=_audit_mode(args),
     )
     print(result.render())
 
@@ -843,15 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="simulated jobs to push through the farm")
     p.add_argument("--sizes", type=int, nargs="+", metavar="N",
                    help="sweep several farm sizes instead of a single run")
-    pool_group = p.add_mutually_exclusive_group()
-    pool_group.add_argument("--pool", action="store_true", dest="force_pool",
-                            help="force the pooled idle-server fast path "
-                                 "(default: auto-select by farm size and "
-                                 "utilization)")
-    pool_group.add_argument("--no-pool", action="store_true",
-                            help="force the exact per-server event path "
-                                 "(disable the pooled fast path) for A/B "
-                                 "debugging")
     p.add_argument("--shards", type=int, default=None, metavar="N",
                    help="run the conservative-window shard engine on N "
                         "worker processes (1 = inline serial reference); "

@@ -245,64 +245,6 @@ def audit_energy(servers: Sequence["Server"], now: float) -> AuditReport:
     return report
 
 
-def audit_pool(pool) -> AuditReport:
-    """Pool fast-path conservation: slots, cohorts, and population agree.
-
-    Run *before* the pool is drained — materialize_all() empties it, after
-    which these checks would be vacuous.
-    """
-    report = AuditReport()
-    pooled = list(pool.iter_pooled())
-    report.record(
-        "pool.population", "pool",
-        len(pooled) == pool.pooled_count,
-        f"{len(pooled)} servers hold pool slots but pooled_count is "
-        f"{pool.pooled_count}",
-    )
-    membership_refs = 0
-    referenced: dict = {}
-    for slot, server in pooled:
-        report.record(
-            "pool.slot-binding", server.name,
-            server._pool_slot == slot,
-            f"slot {slot} does not map back to this server "
-            f"(server records {server._pool_slot})",
-        )
-        report.record(
-            "pool.pooled-state", server.name,
-            server.is_idle and not server.is_failed
-            and server._transition is None,
-            f"pooled server has pending={server.pending_task_count} "
-            f"failed={server.is_failed} transition={server._transition!r}",
-        )
-        captured_at, commit, done = pool.slot_times(slot)
-        report.record(
-            "pool.time-order", server.name,
-            captured_at <= commit <= done,
-            f"captured_at={captured_at!r} commit={commit!r} done={done!r} "
-            f"not monotone",
-        )
-        for cohort in pool.slot_cohorts(slot):
-            if cohort is not None:
-                membership_refs += 1
-                referenced[id(cohort)] = cohort
-    total_members = sum(c.members for c in referenced.values())
-    report.record(
-        "pool.cohort-conservation", "pool",
-        membership_refs == total_members,
-        f"slots reference {membership_refs} cohort memberships but cohorts "
-        f"count {total_members} members",
-    )
-    report.record(
-        "pool.counters", "pool",
-        pool.captures >= pool.materializations >= 0
-        and pool.captures - pool.materializations == pool.pooled_count,
-        f"captures ({pool.captures}) - materializations "
-        f"({pool.materializations}) != pooled_count ({pool.pooled_count})",
-    )
-    return report
-
-
 def audit_availability(
     trackers: Iterable["AvailabilityTracker"], now: float
 ) -> AuditReport:
@@ -497,20 +439,10 @@ def audit_run(
     now: Optional[float] = None,
     expect_drained: bool = False,
     facility: Optional["Facility"] = None,
-    pool=None,
 ) -> AuditReport:
-    """Run every applicable audit over one simulation's components.
-
-    When a :class:`~repro.server.pool.ServerPool` is supplied, its
-    conservation checks run first and then every pooled server is
-    materialized, so the residency/energy audits below see exact
-    per-server state.
-    """
+    """Run every applicable audit over one simulation's components."""
     t = engine.now if now is None else now
     report = audit_engine(engine, expect_drained=expect_drained)
-    if pool is not None:
-        report.merge(audit_pool(pool))
-        pool.materialize_all()
     if scheduler is not None:
         report.merge(audit_jobs(scheduler, driver))
         report.merge(audit_tasks(scheduler))
@@ -543,7 +475,6 @@ def audit_farm(
         now=now,
         expect_drained=expect_drained,
         facility=facility,
-        pool=getattr(farm, "pool", None),
     )
 
 

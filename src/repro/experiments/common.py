@@ -12,7 +12,6 @@ from repro.core.invariants import AuditReport, audit_run
 from repro.core.rng import RandomSource
 from repro.scheduling.global_scheduler import GlobalScheduler
 from repro.scheduling.policies import DispatchPolicy
-from repro.server.pool import ServerPool
 from repro.server.server import Server
 from repro.telemetry import session as telemetry
 from repro.workload.arrivals import ArrivalProcess
@@ -30,9 +29,6 @@ class Farm:
     servers: List[Server]
     scheduler: GlobalScheduler
     rng: RandomSource
-    #: Optional idle-server fast path (see repro.server.pool); farm-wide
-    #: telemetry methods materialize on access, so reads stay exact.
-    pool: Optional[ServerPool] = None
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         self.engine.run(until=until, max_events=max_events)
@@ -70,14 +66,8 @@ def build_farm(
     eligible_provider: Optional[Callable[[], List[Server]]] = None,
     engine: Optional[Engine] = None,
     servers: Optional[Sequence[Server]] = None,
-    pool: bool = False,
 ) -> Farm:
-    """Construct an engine + servers + global scheduler with one call.
-
-    ``pool=True`` attaches a :class:`~repro.server.pool.ServerPool` so
-    settled-idle servers ride pooled state machines instead of per-server
-    engine events — bit-identical observables, farm-scale speed.
-    """
+    """Construct an engine + servers + global scheduler with one call."""
     if n_servers <= 0:
         raise ValueError(f"need at least one server, got {n_servers}")
     engine = engine or Engine()
@@ -91,11 +81,6 @@ def build_farm(
         use_global_queue=use_global_queue,
         eligible_provider=eligible_provider,
     )
-    server_pool: Optional[ServerPool] = None
-    if pool:
-        server_pool = ServerPool(engine)
-        for server in servers:
-            server_pool.adopt(server)
     ts = telemetry.ACTIVE
     if ts is not None:
         ts.attach_engine(engine)
@@ -104,7 +89,6 @@ def build_farm(
         servers=list(servers),
         scheduler=scheduler,
         rng=RandomSource(seed),
-        pool=server_pool,
     )
 
 
@@ -163,7 +147,7 @@ def register_farm_metrics(
             "flows_completed", "flows_rerouted", "flows_stranded", "bits_delivered",
             "packets_delivered", "packets_dropped", "bytes_delivered",
             "transfers_stranded",
-            "trains_engaged", "trains_express", "trains_materialized",
+            "trains_engaged", "trains_materialized",
         ):
             if hasattr(network, name):
                 registry.register_counter(
@@ -202,7 +186,6 @@ def audit_farm(
         driver=driver,
         availability=availability,
         facility=facility,
-        pool=farm.pool,
     )
     if not report.ok:
         if audit == "strict":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from repro.core.config import ServerConfig, small_cloud_server
 from repro.core.rng import RandomSource
@@ -22,34 +22,6 @@ from repro.workload.arrivals import PoissonProcess, arrival_rate_for_utilization
 from repro.workload.profiles import ExponentialService, SingleTaskJobFactory
 
 
-#: Expected settled-idle servers above which the pooled fast path wins.
-#: Calibrated against BENCH_core.json: at 4,096 servers and rho=0.3 the
-#: exact path is slightly faster (pool_speedup 0.95), while the 20,480- and
-#: 65,536-server points are ~11x faster pooled — the crossover sits between.
-POOL_AUTO_IDLE_THRESHOLD = 8192
-
-
-def choose_pool(n_servers: int, utilization: float) -> bool:
-    """Pick the faster execution path for a farm-scale run.
-
-    The pooled fast path (:mod:`repro.server.pool`) pays a per-dispatch
-    materialization tax and wins only when it can amortize it over a large
-    settled-idle population; ``n_servers * (1 - utilization)`` estimates that
-    population.  Explicit ``--pool`` / ``--no-pool`` overrides always win.
-    """
-    idle_servers = n_servers * max(0.0, 1.0 - utilization)
-    return idle_servers >= POOL_AUTO_IDLE_THRESHOLD
-
-
-def resolve_pool(pool: Union[str, bool], n_servers: int, utilization: float) -> bool:
-    """Resolve the tri-state ``pool`` knob (``"auto"`` / ``True`` / ``False``)."""
-    if pool == "auto":
-        return choose_pool(n_servers, utilization)
-    if isinstance(pool, bool):
-        return pool
-    raise ValueError(f"pool must be 'auto', True or False, got {pool!r}")
-
-
 @dataclass
 class ScalabilityResult:
     n_servers: int
@@ -57,9 +29,6 @@ class ScalabilityResult:
     sim_duration_s: float
     wall_seconds: float
     events_executed: int
-    pool_enabled: bool = True
-    pool_captures: int = 0
-    pool_peak: int = 0
 
     @property
     def events_per_second(self) -> float:
@@ -70,9 +39,8 @@ class ScalabilityResult:
         return self.n_jobs / self.wall_seconds if self.wall_seconds else 0.0
 
     def render(self) -> str:
-        mode = "pooled" if self.pool_enabled else "exact"
         return (
-            f"Table I (scalability) — {self.n_servers:,} servers ({mode}): "
+            f"Table I (scalability) — {self.n_servers:,} servers: "
             f"{self.n_jobs:,} jobs over {self.sim_duration_s:.2f} simulated s "
             f"in {self.wall_seconds:.1f} wall s "
             f"({self.events_per_second:,.0f} events/s, "
@@ -88,20 +56,21 @@ def run_scalability(
     seed: int = 13,
     server_config: Optional[ServerConfig] = None,
     audit: str = "warn",
-    pool: Union[str, bool] = "auto",
+    pool: str = "auto",
 ) -> ScalabilityResult:
     """Simulate a >20K-server farm and measure simulator throughput.
 
-    ``pool`` defaults to ``"auto"`` — :func:`choose_pool` picks the faster
-    path from farm size and target utilization.  ``pool=False`` forces the
-    exact per-server event path (the CLI's ``--no-pool``) and ``pool=True``
-    forces pooling (``--pool``) for A/B debugging.
+    ``pool`` is accepted only as ``"auto"``, for the repository benchmark
+    (``perfbench/workloads.py``), which still passes it; every farm runs the
+    exact per-server path.  The keyword goes once that caller drops it.
     """
+    if pool != "auto":
+        raise ValueError(
+            f"pool={pool!r}: the pooled idle-server path was removed; "
+            f"every farm runs the exact per-server path"
+        )
     config = server_config or small_cloud_server(n_cores=4)
-    use_pool = resolve_pool(pool, n_servers, utilization)
-    farm = build_farm(
-        n_servers, config, policy=RoundRobinPolicy(), seed=seed, pool=use_pool
-    )
+    farm = build_farm(n_servers, config, policy=RoundRobinPolicy(), seed=seed)
     rng = RandomSource(seed)
     rate = arrival_rate_for_utilization(
         utilization, mean_service_s, n_servers, config.total_cores
@@ -130,9 +99,6 @@ def run_scalability(
         sim_duration_s=farm.engine.now,
         wall_seconds=wall,
         events_executed=farm.engine.events_executed,
-        pool_enabled=farm.pool is not None,
-        pool_captures=farm.pool.captures if farm.pool is not None else 0,
-        pool_peak=farm.pool.peak_pooled if farm.pool is not None else 0,
     )
 
 
@@ -143,7 +109,6 @@ def run_scalability_sharded(
     partitions: int = 4,
     utilization: float = 0.3,
     seed: int = 13,
-    pool: str = "auto",
     audit: str = "warn",
     durability=None,
 ):
@@ -155,7 +120,7 @@ def run_scalability_sharded(
     (a :class:`repro.parallel.DurabilityOptions`) enables checkpoint/restore
     and shard self-healing.  Returns a :class:`repro.parallel.ShardRunResult`.
     """
-    # Imported lazily: repro.parallel.scenarios imports resolve_pool from here.
+    # Imported lazily: repro.parallel imports repro.experiments.
     from repro.parallel import run_sharded, scalability_spec
 
     spec = scalability_spec(
@@ -164,7 +129,6 @@ def run_scalability_sharded(
         n_partitions=partitions,
         utilization=utilization,
         seed=seed,
-        pool=pool,
         audit=audit,
     )
     return run_sharded(spec, shards=shards, durability=durability)
@@ -192,7 +156,6 @@ def run_scalability_sweep(
     jobs: int = 1,
     sweep_options: Optional[SweepOptions] = None,
     audit: str = "warn",
-    pool: Union[str, bool] = "auto",
 ) -> ScalabilitySweep:
     """Run the scalability point at several farm sizes.
 
@@ -210,7 +173,6 @@ def run_scalability_sweep(
             mean_service_s=mean_service_s,
             seed=seed,
             audit=audit,
-            pool=pool,
         )
     points = run_sweep(spec, jobs=jobs, options=sweep_options)
     return ScalabilitySweep(points=[p for p in points if p is not None])

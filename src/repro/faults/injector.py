@@ -166,10 +166,6 @@ class FaultInjector:
         now = self.engine.now
         changed = False
         if kind == "server":
-            # A pooled (fast-path) server must be restored to exact per-server
-            # state before the crash is applied — fail() does this itself, but
-            # be explicit: fault injection is a materialization trigger.
-            target.ensure_materialized()
             lost = target.fail()
             changed = True
             if self.scheduler is not None:

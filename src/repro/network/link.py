@@ -93,16 +93,6 @@ class Link:
         for port in self.ports.values():
             port.end_activity(quiet_since)
 
-    def cancel_activity(self, src: str, dst: str) -> None:
-        """Unwind one ``begin_activity`` without timer side effects (used by
-        the packet-train fast path when a reserved window never opened)."""
-        key = self.direction(src, dst)
-        if self._active[key] <= 0:
-            raise RuntimeError(f"no active traffic on {self} {key}")
-        self._active[key] -= 1
-        for port in self.ports.values():
-            port.cancel_activity()
-
     def active_count(self, src: str, dst: str) -> int:
         return self._active[self.direction(src, dst)]
 

@@ -25,7 +25,7 @@ from repro.runner.journal import stable_repr
 #: Snapshot keys that are not merged numerically.
 _SKIP_KEYS = {"pid", "journal", "job_latency", "task_queue_delay"}
 #: Keys merged by max rather than sum.
-_MAX_KEYS = {"facility_peak_zone_temp_c", "pool_peak"}
+_MAX_KEYS = {"facility_peak_zone_temp_c"}
 #: Keys merged by (partition-ordered) arithmetic mean rather than sum.
 _MEAN_KEYS = {"availability", "facility_mean_pue"}
 

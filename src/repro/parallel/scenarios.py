@@ -37,7 +37,6 @@ from repro.core.engine import Engine
 from repro.core.rng import RandomSource, exponential
 from repro.experiments.common import build_farm
 from repro.experiments.joint_energy import build_joint_cluster
-from repro.experiments.scalability import resolve_pool
 from repro.faults.injector import FaultInjector
 from repro.jobs.task import Job
 from repro.parallel.protocol import EngineClock, Message, ShardEndpoint
@@ -49,7 +48,6 @@ from repro.workload.arrivals import PoissonProcess, arrival_rate_for_utilization
 FRONTEND_PID = 0
 
 SCENARIOS = ("scalability", "faults", "facility", "joint", "ai")
-POOL_MODES = ("auto", "on", "off")
 
 #: Chaos actions understood by the worker runtime (crash-handling tests).
 #: ``kill`` is SIGKILL — no Python cleanup runs, the hardest crash shape.
@@ -81,7 +79,6 @@ class ScenarioSpec:
     drain_s: float = 2e-3
     duration_s: Optional[float] = None
     max_windows: int = 200_000
-    pool: str = "auto"
     audit: str = "warn"
     # -- faults ---------------------------------------------------------
     mtbf_s: float = 8.0
@@ -118,8 +115,6 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.name not in SCENARIOS:
             raise ValueError(f"scenario {self.name!r} not in {SCENARIOS}")
-        if self.pool not in POOL_MODES:
-            raise ValueError(f"pool mode {self.pool!r} not in {POOL_MODES}")
         if self.window_s <= 0 or self.boundary_latency_s <= 0:
             raise ValueError("window and boundary latency must be positive")
         for _, _, action in self.chaos:
@@ -128,9 +123,6 @@ class ScenarioSpec:
 
     def plan(self, n_workers: int = 1) -> ShardPlan:
         return ShardPlan(self.n_servers, self.n_partitions, n_workers)
-
-    def pool_flag(self) -> object:
-        return {"auto": "auto", "on": True, "off": False}[self.pool]
 
 
 # ----------------------------------------------------------------------
@@ -282,7 +274,6 @@ class PartitionModel:
         self.n_local = plan.partition_size(pid)
         self.servers: List = []
         self.scheduler = None
-        self.pool = None
         self.facility = None
         self.availability = ()
         self._build()
@@ -363,9 +354,6 @@ class PartitionModel:
             "bus_sent": self.endpoint.sent,
             "bus_received": self.endpoint.received,
             "bus_pending": self.endpoint.pending_messages(),
-            "pool_enabled": self.pool is not None,
-            "pool_captures": self.pool.captures if self.pool is not None else 0,
-            "pool_peak": self.pool.peak_pooled if self.pool is not None else 0,
             "journal": list(self.endpoint.journal),
         }
         if self.frontend is not None:
@@ -380,7 +368,6 @@ class PartitionModel:
         return {
             "availability": tuple(self.availability),
             "facility": self.facility,
-            "pool": self.pool,
         }
 
 
@@ -390,19 +377,16 @@ class ScalabilityPartition(PartitionModel):
     def _build(self) -> None:
         spec = self.spec
         config = small_cloud_server(n_cores=spec.n_cores)
-        use_pool = resolve_pool(spec.pool_flag(), self.n_local, spec.utilization)
         farm = build_farm(
             self.n_local,
             config,
             policy=RoundRobinPolicy(),
             seed=self.part_seed,
             engine=self.engine,
-            pool=use_pool,
         )
         self.farm = farm
         self.servers = farm.servers
         self.scheduler = farm.scheduler
-        self.pool = farm.pool
 
     def _build_job(self, payload: tuple, now: float) -> Job:
         idx, service = payload
@@ -666,7 +650,6 @@ def scalability_spec(
     n_partitions: int = 4,
     utilization: float = 0.3,
     seed: int = 13,
-    pool: str = "auto",
     audit: str = "warn",
 ) -> ScenarioSpec:
     """Sharded Table I point: big farm, short exponential tasks."""
@@ -682,7 +665,6 @@ def scalability_spec(
         window_s=1e-3,
         boundary_latency_s=1e-3,
         drain_s=2e-3,
-        pool=pool,
         audit=audit,
     )
 
@@ -709,7 +691,6 @@ def faults_spec(
         boundary_latency_s=0.25,
         drain_s=0.5,
         duration_s=duration_s,
-        pool="off",
         audit=audit,
     )
 
@@ -740,7 +721,6 @@ def facility_spec(
         duration_s=duration_s,
         setpoint_c=setpoint_c,
         carbon=carbon,
-        pool="off",
         audit=audit,
     )
 
@@ -771,7 +751,6 @@ def ai_spec(
         ai_steps=n_steps,
         ai_algorithm=algorithm,
         fat_tree_k=fat_tree_k,
-        pool="off",
         audit=audit,
     )
 
@@ -800,6 +779,5 @@ def joint_spec(
         drain_s=0.5,
         joint_mode=joint_mode,
         fat_tree_k=fat_tree_k,
-        pool="off",
         audit=audit,
     )

@@ -37,20 +37,6 @@ class ServerPowerController:
     def on_server_awake(self, server: "Server") -> None:
         """``server`` completed a wake transition back to S0."""
 
-    # -- Pool fast-path protocol (repro.server.pool) -------------------
-    # A controller that can describe its idle behaviour analytically opts
-    # into pooling by implementing sleep_plan().  Returning None keeps the
-    # server on the exact per-event path.
-    def sleep_plan(self, server: "Server"):
-        """Return ``(tau_s | None, sleep_level)`` or None if not poolable."""
-        return None
-
-    def clear_idle_timer(self, server: "Server") -> None:
-        """Cancel any real delay timer; the pool virtualises it."""
-
-    def restore_idle_timer(self, server: "Server", deadline: float) -> None:
-        """Re-arm the delay timer at an absolute deadline on materialization."""
-
 
 class AlwaysOnController(ServerPowerController):
     """Active-Idle baseline: the server never enters a system sleep state.
@@ -59,10 +45,6 @@ class AlwaysOnController(ServerPowerController):
     server sits at package-C6 idle power — exactly the baseline Fig. 6
     measures energy reductions against.
     """
-
-    def sleep_plan(self, server: "Server"):
-        # Never sleeps: the pool only has to cascade core/package C-states.
-        return (None, "s3")
 
 
 class DelayTimerController(ServerPowerController):
@@ -114,24 +96,10 @@ class DelayTimerController(ServerPowerController):
 
     def set_tau(self, server: "Server", tau_s: Optional[float]) -> None:
         """Retune one server's timer (used by pool policies that migrate servers)."""
-        server.ensure_materialized()
         self._per_server_tau[server.server_id] = tau_s
         self._cancel_timer(server)
         if server.is_idle and server.can_execute:
             self.on_server_idle(server)
-
-    # -- Pool fast-path protocol (repro.server.pool) -------------------
-    def sleep_plan(self, server: "Server"):
-        return (self.tau_for(server), self.sleep_level)
-
-    def clear_idle_timer(self, server: "Server") -> None:
-        self._cancel_timer(server)
-
-    def restore_idle_timer(self, server: "Server", deadline: float) -> None:
-        self._cancel_timer(server)
-        self._timers[server.server_id] = self.engine.schedule_at(
-            deadline, self._timer_fired, server
-        )
 
     def _timer_fired(self, server: "Server") -> None:
         self._timers.pop(server.server_id, None)

@@ -328,7 +328,7 @@ def bench_collective(
         )
     config = small_cloud_server(n_cores=1)
     servers = [Server(engine, config, server_id=i) for i in range(topo.n_servers)]
-    net = PacketNetwork(engine, topo, fast_path=True, express=False)
+    net = PacketNetwork(engine, topo, fast_path=True)
     scheduler = GlobalScheduler(
         engine, servers, policy=GroupPlacementPolicy(topo), network=net
     )
@@ -610,9 +610,8 @@ def run_bench(
             "speedup": round(wall_serial / wall_parallel, 3) if wall_parallel else None,
         }
 
-    # Pooled vs exact A/B at the 4,096-server point (quick mode shrinks the
-    # job count, not the farm, so the pooled fast path is always exercised at
-    # scale); full mode adds the 65,536-server point from the tentpole claim.
+    # The 4,096-server scalability point (quick mode shrinks the job count,
+    # not the farm); full mode adds the 65,536-server point.
     # Every earlier section left survivors on the heap; collect and freeze
     # them so generational GC sweeps during the farm runs don't traverse
     # megabytes of unrelated bench state (worth several percent on the gated
@@ -620,25 +619,10 @@ def run_bench(
     gc.collect()
     gc.freeze()
     n_scal_jobs = 5_000 if quick else 50_000
-    # Best-of-2 on BOTH paths of the A/B: a single 4-second sample is at the
-    # mercy of host noise, and pool_speedup divides the two — sampling them
-    # asymmetrically biased the ratio (the PR-8 fix).  ``pool`` is forced on
-    # one side and off the other; what the auto-selector would actually pick
-    # at this point is recorded alongside.
+    # Best of 2: a single 4-second sample is at the mercy of host noise.
     scal = min(
         (
-            scalability.run_scalability(
-                n_servers=4096, n_jobs=n_scal_jobs, pool=True
-            )
-            for _ in range(2)
-        ),
-        key=lambda r: r.wall_seconds,
-    )
-    exact = min(
-        (
-            scalability.run_scalability(
-                n_servers=4096, n_jobs=n_scal_jobs, pool=False
-            )
+            scalability.run_scalability(n_servers=4096, n_jobs=n_scal_jobs)
             for _ in range(2)
         ),
         key=lambda r: r.wall_seconds,
@@ -648,13 +632,6 @@ def run_bench(
         "n_jobs": scal.n_jobs,
         "events_per_s": round(scal.events_per_second),
         "jobs_per_s": round(scal.jobs_per_wall_second),
-        "events_per_s_exact": round(exact.events_per_second),
-        "pool_speedup": round(
-            scal.jobs_per_wall_second / exact.jobs_per_wall_second, 2
-        ) if exact.jobs_per_wall_second else None,
-        "pool_auto": scalability.choose_pool(4096, 0.3),
-        "pool_captures": scal.pool_captures,
-        "pool_peak": scal.pool_peak,
     }
     if not quick:
         big = scalability.run_scalability(n_servers=65_536, n_jobs=50_000)
@@ -663,8 +640,6 @@ def run_bench(
             "n_jobs": big.n_jobs,
             "events_per_s": round(big.events_per_second),
             "jobs_per_s": round(big.jobs_per_wall_second),
-            "pool_captures": big.pool_captures,
-            "pool_peak": big.pool_peak,
         }
 
     # Collective data plane: the committed 1,024-rank ring-allreduce point
@@ -791,14 +766,11 @@ def render(result: Dict[str, Any]) -> str:
             f"({sweep['speedup']:.2f}x)"
         )
     scal = result.get("scalability", {})
-    line = (
+    lines.append(
         f"  scalability ({scal.get('n_servers', 0):,} servers): "
         f"{scal.get('events_per_s', 0):>12,} events/s, "
         f"{scal.get('jobs_per_s', 0):,} jobs/s"
     )
-    if scal.get("pool_speedup") is not None:
-        line += f" (pool {scal['pool_speedup']:.2f}x vs exact)"
-    lines.append(line)
     big = result.get("scalability_65536")
     if big:
         lines.append(

@@ -159,47 +159,17 @@ class Core:
                 args={"job": jid, "type": task.task_type},
             )
         self._set_state(CoreState.C1)
-        # Deferred arming: completion callbacks often either hand this core a
-        # new task (which would cancel the timer straight away) or capture the
-        # whole server into the pool (which detaches it).  Arming afterwards —
-        # at the same timestamp and therefore the same deadline — skips that
-        # schedule/cancel churn.  ServerPool.try_capture knows a just-completed
-        # C1 core with no handle is due at now + core_c6_timer_s.
+        # Deferred arming: completion callbacks often hand this core a new
+        # task (which would cancel the timer straight away).  Arming
+        # afterwards — at the same timestamp and therefore the same deadline —
+        # skips that schedule/cancel churn.
         self.processor.on_core_complete(self, task)
-        server = self.processor._server
         if (
             self.current_task is None
             and self.state is CoreState.C1
             and self._c6_timer is None
-            and (server is None or server._pool_slot < 0)
         ):
             self._arm_c6_timer()
-
-    # ------------------------------------------------------------------
-    # Pool fast-path support (repro.server.pool)
-    # ------------------------------------------------------------------
-    def detach_c6_deadline(self) -> float:
-        """Cancel the pending C6 timer and return its absolute deadline.
-
-        Returns ``-inf`` if the core is already power-gated and ``+inf`` if no
-        timer is pending (the core would stay in C1 indefinitely).  Used by
-        :class:`repro.server.pool.ServerPool` at capture; the deadline is
-        re-armed verbatim by :meth:`restore_c6_deadline` on materialization.
-        """
-        if self.state is CoreState.C6:
-            return float("-inf")
-        handle = self._c6_timer
-        if handle is not None and handle.pending:
-            deadline = handle.time
-            handle.cancel()
-            self._c6_timer = None
-            return deadline
-        return float("inf")
-
-    def restore_c6_deadline(self, deadline: float) -> None:
-        """Re-arm the C6 timer at its original absolute deadline."""
-        self._cancel_c6_timer()
-        self._c6_timer = self.engine.schedule_at(deadline, self._enter_c6)
 
     def _arm_c6_timer(self) -> None:
         timer = self.processor.config.core_c6_timer_s

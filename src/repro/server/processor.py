@@ -102,10 +102,6 @@ class Processor:
             raise ValueError(
                 f"frequency {frequency_ghz} GHz not among available P-states {available}"
             )
-        # A thermal throttle (or any governor) may retune a pooled-idle
-        # server; the accounting below must run on exact per-server state.
-        if self._server is not None:
-            self._server.ensure_materialized()
         self.frequency_ghz = frequency_ghz
         self._refresh_power_cache()
         if self._server is not None:
@@ -147,30 +143,6 @@ class Processor:
             if self.package_state is PackageState.PC6:
                 self._set_package_state(PackageState.PC0)
         self._notify_power_change()
-
-    # ------------------------------------------------------------------
-    # Pool fast-path support (repro.server.pool)
-    # ------------------------------------------------------------------
-    def detach_pc6_deadline(self) -> Optional[float]:
-        """Cancel the pending package-C6 timer and return its deadline.
-
-        Returns ``-inf`` if the package is already in PC6 and None if no timer
-        is pending (the pool derives the deadline from the core cascade).
-        """
-        if self.package_state is PackageState.PC6:
-            return float("-inf")
-        handle = self._pc6_timer
-        if handle is not None and handle.pending:
-            deadline = handle.time
-            handle.cancel()
-            self._pc6_timer = None
-            return deadline
-        return None
-
-    def restore_pc6_deadline(self, deadline: float) -> None:
-        """Re-arm the package-C6 timer at its original absolute deadline."""
-        self._cancel_pc6_timer()
-        self._pc6_timer = self.engine.schedule_at(deadline, self._enter_pc6)
 
     # ------------------------------------------------------------------
     # Package C6 timer

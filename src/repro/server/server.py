@@ -53,14 +53,10 @@ class Server:
         self.server_id = server_id
         self.name = name or f"{config.name}-{server_id}"
         self.auto_wake_on_arrival = auto_wake_on_arrival
-        self._system_state = SystemState.S0
+        self.system_state = SystemState.S0
         self._sleep_target = SystemState.S3
         self._wake_pending = False
         self._transition: Optional[EventHandle] = None
-        # Pool fast path (see repro.server.pool): while captured, _pool_slot
-        # is the pool column index and system_state is answered virtually.
-        self._pool = None
-        self._pool_slot = -1
         # True only inside start_task_on_core's assign window, where the
         # core-state notification is provably a zero-length no-op.
         self._notify_held = False
@@ -131,25 +127,10 @@ class Server:
         self._update_residency()
 
     # ------------------------------------------------------------------
-    # Pool fast path
+    # Idle and availability notifications
     # ------------------------------------------------------------------
-    @property
-    def system_state(self) -> SystemState:
-        """The ACPI system state; answered virtually while pooled."""
-        if self._pool_slot >= 0:
-            return self._pool.virtual_system_state(self)
-        return self._system_state
-
-    def ensure_materialized(self) -> None:
-        """Leave the pool fast path, restoring exact per-server state."""
-        if self._pool_slot >= 0:
-            self._pool.materialize(self)
-
     def _on_idle(self) -> None:
-        """The server just went fully idle: pool it, or start its delay timer."""
-        pool = self._pool
-        if pool is not None and pool.try_capture(self):
-            return
+        """The server just went fully idle: let its controller react."""
         if self.power_controller is not None:
             self.power_controller.on_server_idle(self)
 
@@ -166,29 +147,22 @@ class Server:
     # ------------------------------------------------------------------
     def attach_controller(self, controller) -> None:
         """Attach a power controller (see :mod:`repro.power.controller`)."""
-        self.ensure_materialized()
         self.power_controller = controller
         controller.attach(self)
-        if self._pool is not None and self.is_idle and self.can_execute:
-            # Re-enter the pool under the new controller's sleep plan (the
-            # attach() above may have scheduled a real delay timer; capture
-            # folds it into the cohort columns).
-            self._on_idle()
 
     # ------------------------------------------------------------------
     # Task intake and execution
     # ------------------------------------------------------------------
     def submit_task(self, task: Task) -> None:
         """Accept a task from the global scheduler (or the network)."""
-        self.ensure_materialized()
-        if self._system_state is SystemState.FAILED:
+        if self.system_state is SystemState.FAILED:
             raise RuntimeError(f"cannot submit task to failed server {self.name}")
         self.tasks_submitted += 1
         task.server_id = self.server_id
         self.local_scheduler.enqueue(task)
         if self.power_controller is not None:
             self.power_controller.on_task_arrival(self, task)
-        if self._system_state is SystemState.S0:
+        if self.system_state is SystemState.S0:
             self.local_scheduler.dispatch()
         elif self.auto_wake_on_arrival:
             self.request_wake()
@@ -236,7 +210,6 @@ class Server:
         or None if the core was idle.  Used by failure-injection studies and
         by policies that reclaim cores.
         """
-        self.ensure_materialized()
         task = core.preempt()
         if task is not None:
             self.local_scheduler.on_core_free(core)
@@ -299,8 +272,7 @@ class Server:
         """
         if level not in SLEEP_LEVELS:
             raise ValueError(f"unknown sleep level {level!r}; expected one of {list(SLEEP_LEVELS)}")
-        self.ensure_materialized()
-        if self._system_state is not SystemState.S0 or not self.is_idle:
+        if self.system_state is not SystemState.S0 or not self.is_idle:
             return False
         self._sleep_target = SLEEP_LEVELS[level]
         self._wake_pending = False
@@ -317,10 +289,9 @@ class Server:
 
     def request_wake(self) -> None:
         """Ask a sleeping (or falling-asleep) server to return to S0."""
-        self.ensure_materialized()
-        if self._system_state in (SystemState.S0, SystemState.WAKING, SystemState.FAILED):
+        if self.system_state in (SystemState.S0, SystemState.WAKING, SystemState.FAILED):
             return
-        if self._system_state is SystemState.ENTERING_SLEEP:
+        if self.system_state is SystemState.ENTERING_SLEEP:
             self._wake_pending = True
             return
         self._begin_wake()
@@ -358,8 +329,7 @@ class Server:
     @property
     def is_failed(self) -> bool:
         """True while the server is down due to an injected fault."""
-        # Pooled servers are never FAILED, so the raw field is always right.
-        return self._system_state is SystemState.FAILED
+        return self.system_state is SystemState.FAILED
 
     def fail(self) -> List[Task]:
         """Crash the server: abort in-flight work, drop the local queue.
@@ -369,8 +339,7 @@ class Server:
         the global scheduler's recovery path.  Failing an already-failed
         server is a no-op returning no tasks.
         """
-        self.ensure_materialized()
-        if self._system_state is SystemState.FAILED:
+        if self.system_state is SystemState.FAILED:
             return []
         if self._transition is not None and self._transition.pending:
             self._transition.cancel()
@@ -391,7 +360,7 @@ class Server:
 
     def repair(self) -> bool:
         """Return a failed server to S0, ready to accept work again."""
-        if self._system_state is not SystemState.FAILED:
+        if self.system_state is not SystemState.FAILED:
             return False
         self.repair_count += 1
         self._set_system_state(SystemState.S0)
@@ -405,7 +374,7 @@ class Server:
         return True
 
     def _set_system_state(self, state: SystemState) -> None:
-        if state is self._system_state:
+        if state is self.system_state:
             return
         ts = telemetry.ACTIVE
         if ts is not None and ts.power is not None:
@@ -413,13 +382,13 @@ class Server:
             now = self.engine.now
             ts.power.complete(
                 "power",
-                self._system_state.value,
+                self.system_state.value,
                 f"server/{self.name}",
                 self._state_since,
                 now - self._state_since,
             )
         self._state_since = self.engine.now
-        self._system_state = state
+        self.system_state = state
         self._update_power()
         self._update_residency()
 
@@ -450,12 +419,10 @@ class Server:
     def _component_powers(self) -> Tuple[float, float, float]:
         """(cpu, dram, platform) draw; several calls per task at farm scale.
 
-        Reads ``_system_state`` directly: every caller runs on the exact
-        per-server path (or inside a pool replay, which maintains it).
         Explicit accumulation loops match the former ``sum(genexpr)`` float
         order exactly.
         """
-        state = self._system_state
+        state = self.system_state
         if state is SystemState.FAILED:
             return self._p_failed
         if state is SystemState.S3:
@@ -520,7 +487,7 @@ class Server:
         acct._since = now
 
     def _residency_category(self) -> str:
-        state = self._system_state
+        state = self.system_state
         if state is SystemState.FAILED:
             return ResidencyCategory.FAILED
         if state in (SystemState.S3, SystemState.S5, SystemState.ENTERING_SLEEP):
@@ -545,19 +512,16 @@ class Server:
     @property
     def power_w(self) -> float:
         """Total instantaneous server power (CPU + DRAM + platform)."""
-        self.ensure_materialized()
         cpu, dram, plat = self._component_powers()
         return cpu + dram + plat
 
     @property
     def cpu_power_w(self) -> float:
         """Instantaneous CPU (package + cores) power."""
-        self.ensure_materialized()
         return self._component_powers()[0]
 
     def energy_breakdown_j(self, now: Optional[float] = None) -> Dict[str, float]:
         """Energy per component in joules up to ``now`` (Fig. 9's breakdown)."""
-        self.ensure_materialized()
         t = self.engine.now if now is None else now
         return {
             "cpu": self.cpu_energy.energy_j(t),
@@ -571,7 +535,6 @@ class Server:
 
     def residency_fractions(self, now: Optional[float] = None) -> Dict[str, float]:
         """Fraction of time per Fig.-8 category since simulation start."""
-        self.ensure_materialized()
         t = self.engine.now if now is None else now
         fractions = self.residency.residency_fractions(t)
         return {cat: fractions.get(cat, 0.0) for cat in ResidencyCategory.ALL}

@@ -16,7 +16,7 @@ from repro.checkpoint import (
     scenario_fingerprint,
     write_checkpoint,
 )
-from repro.parallel import scalability_spec
+from repro.parallel import DurabilityOptions, run_sharded, scalability_spec
 
 
 def _meta(spec, shards=1, edge=7):
@@ -82,6 +82,26 @@ class TestEnvelope:
     def test_missing_file_refused(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read checkpoint"):
             read_checkpoint(str(tmp_path / "absent.ckpt"))
+
+    def test_version_1_refused_before_unpickling(self, tmp_path):
+        # Version-1 payloads pickle classes that no longer exist (pooled
+        # idle-server cohorts; the payload below names a missing module the
+        # same way): restore must refuse on the header's format version,
+        # never reach the unpickler and its ImportError.
+        spec = scalability_spec()
+        ckpt = tmp_path / "v1.ckpt"
+        path = str(ckpt)
+        payload = b"crepro.removed_module\nRemovedClass\n."
+        write_checkpoint(path, payload, _meta(spec))
+        header_line, rest = ckpt.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        header["version"] = 1
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n" + rest)
+        message = f"format version 1, this build reads version {CHECKPOINT_VERSION}"
+        with pytest.raises(CheckpointError, match=message):
+            read_checkpoint(path)
+        with pytest.raises(CheckpointError, match=message):
+            run_sharded(spec, shards=1, durability=DurabilityOptions(restore_from=path))
 
 
 class TestScenarioFingerprint:

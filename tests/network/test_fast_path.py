@@ -1,4 +1,4 @@
-"""Equivalence tests for the packet-train / express data-plane fast path.
+"""Equivalence tests for the packet-train data-plane fast path.
 
 The fast path is a pure performance optimisation: delivered timestamps,
 packet delays, port/line-card residencies and energies must be *bit-for-bit*
@@ -20,12 +20,11 @@ from repro.network.topology import fat_tree, star
 HORIZON = 5.0
 
 
-def run_workload(events, *, fast_path, express=True, builder=None, mtu=1500.0):
+def run_workload(events, *, fast_path, builder=None, mtu=1500.0):
     """Run transfers at scheduled times; return (engine, topo, net, completions)."""
     engine = Engine()
     topo = (builder or (lambda e: star(e, 8)))(engine)
-    net = PacketNetwork(engine, topo, mtu_bytes=mtu,
-                        fast_path=fast_path, express=express)
+    net = PacketNetwork(engine, topo, mtu_bytes=mtu, fast_path=fast_path)
     completions = []
 
     def launch(src, dst, size):
@@ -80,12 +79,13 @@ def test_single_uncontended_transfer_bit_matches():
     assert net.trains_engaged == 1
 
 
-def test_express_engages_on_warm_route_and_bit_matches():
+def test_train_engages_on_warm_route_and_bit_matches():
     # First transfer warms the ports out of LPI; the second finds every
-    # port ACTIVE with all timers far away, so it goes express.
+    # port ACTIVE on an idle route, so it rides a train with zero wake.
     events = [(0.0, 0, 1, 4000.0), (2e-4, 0, 1, 4000.0)]
     net = assert_equivalent(events)
-    assert net.trains_express >= 1
+    assert net.trains_engaged == 2
+    assert net.trains_materialized == 0
 
 
 def test_cross_traffic_materializes_train():
@@ -146,7 +146,6 @@ def test_fast_path_reduces_events_at_least_4x():
 def test_fast_path_flag_off_disables_batching():
     _, _, net, _ = run_workload([(0.0, 0, 1, 30_000.0)], fast_path=False)
     assert net.trains_engaged == 0
-    assert net.trains_express == 0
 
 
 # ----------------------------------------------------------------------

@@ -142,33 +142,12 @@ class TestScalabilityResult:
         result = ScalabilityResult(100, 1000, 1.0, 0.0, 5000)
         assert result.events_per_second == 0.0
 
+    @pytest.mark.parametrize("pool", [True, False, "on", "off"])
+    def test_pool_keyword_accepts_only_auto(self, pool):
+        from repro.experiments.scalability import run_scalability
 
-class TestPoolAutoSelection:
-    def test_chooses_exact_path_below_idle_threshold(self):
-        from repro.experiments.scalability import choose_pool
-
-        # The committed BENCH shows pool_speedup < 1 at 4,096 servers and
-        # rho = 0.3 (idle population ~2,867): auto must pick exact there.
-        assert choose_pool(4096, 0.3) is False
-
-    def test_chooses_pooled_path_for_big_idle_farms(self):
-        from repro.experiments.scalability import choose_pool
-
-        assert choose_pool(20_480, 0.3) is True
-        assert choose_pool(65_536, 0.3) is True
-        # High utilization shrinks the idle population and flips the choice.
-        assert choose_pool(65_536, 0.95) is False
-
-    def test_resolve_pool_tri_state(self):
-        from repro.experiments.scalability import resolve_pool
-
-        assert resolve_pool("auto", 4096, 0.3) is False
-        assert resolve_pool("auto", 65_536, 0.3) is True
-        # Explicit overrides always win over the auto heuristic.
-        assert resolve_pool(True, 4096, 0.3) is True
-        assert resolve_pool(False, 65_536, 0.3) is False
-        with pytest.raises(ValueError):
-            resolve_pool("yes", 100, 0.3)
+        with pytest.raises(ValueError, match="pooled idle-server path was removed"):
+            run_scalability(n_servers=4, n_jobs=1, pool=pool)
 
 
 class TestDagJobFactory:

@@ -15,12 +15,14 @@ Writes are atomic (tmp file + fsync + ``os.replace`` + directory fsync), so
 a crash mid-checkpoint leaves the previous checkpoint intact — the file on
 disk is always a complete, verified cut.
 
-The config fingerprint hashes the :class:`~repro.parallel.ScenarioSpec`
-through the same :func:`~repro.runner.journal.stable_repr` machinery the
-sweep journal uses, *excluding* the test-only fields (``chaos``, ``audit``,
-``max_windows``): a checkpoint taken under fault-injection chaos must
-restore into the same scenario run without it, and the audit level is a
-verification knob, not part of the simulated world.
+The config fingerprint hashes the scenario spec's type (a
+:class:`~repro.parallel.ShardSpec` subclass) and its fields through the same
+:func:`~repro.runner.journal.stable_repr` machinery the sweep journal uses,
+*excluding* the test-only fields (``chaos``, ``audit``): a checkpoint taken
+under fault-injection chaos must restore into the same scenario run without
+it, and the audit level is a verification knob, not part of the simulated
+world.  Scenario constants are class attributes, not fields; the type name
+covers them.
 """
 
 from __future__ import annotations
@@ -37,11 +39,12 @@ CHECKPOINT_KIND = "repro-checkpoint"
 #: Bump when the envelope or payload schema changes incompatibly; restore
 #: refuses a foreign version rather than mis-deserializing it.  Version 2
 #: dropped the pooled idle-server path: version-1 payloads pickle pool
-#: cohorts and a scenario spec with a ``pool`` field.
-CHECKPOINT_VERSION = 2
+#: cohorts and a scenario spec with a ``pool`` field.  Version 3 replaced the
+#: one flat scenario spec with a spec class per scenario.
+CHECKPOINT_VERSION = 3
 
 #: Spec fields that do not shape the simulated world (see module docstring).
-_FINGERPRINT_EXCLUDED_FIELDS = ("chaos", "audit", "max_windows")
+_FINGERPRINT_EXCLUDED_FIELDS = ("chaos", "audit")
 
 
 class CheckpointError(RuntimeError):

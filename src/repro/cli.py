@@ -16,14 +16,16 @@ the paper's figure reports::
     python -m repro faults --mtbfs 120 60 30 --retry-limit 3
     python -m repro bench --quick
 
-``--shards N`` (on ``scalability``, ``joint``, ``faults``, and
-``facility-carbon``) runs the conservative time-window shard engine
-(:mod:`repro.parallel`): the farm is split into ``--partitions`` model
-partitions packed onto ``N`` worker processes, and the merged report is
-bit-identical for every shard count — only wall-clock changes.  The
-``merged ...`` lines it prints are the CI diff surface.
+``--shards N`` (on ``scalability``, ``joint``, ``faults``,
+``facility-carbon`` and ``ai-training``) runs the conservative time-window
+shard engine (:mod:`repro.parallel`): the farm is split into
+``--partitions`` model partitions packed onto ``N`` worker processes, and
+the merged report is bit-identical for every shard count — only wall-clock
+changes.  The subcommand's model flags configure the sharded scenario; a
+swept flag contributes its first value.  The ``merged ...`` lines it prints
+are the CI diff surface.
 
-The same four subcommands take the durable-run flags
+All but ``ai-training`` take the durable-run flags
 (:mod:`repro.checkpoint`): ``--checkpoint PATH --checkpoint-every T``
 snapshots the whole simulation world atomically every T simulated
 seconds, ``--restore-from PATH`` resumes bit-identically from the last
@@ -69,7 +71,16 @@ from repro.experiments import (
 )
 # Safe to import eagerly here: repro.experiments (above) is already loaded,
 # so repro.parallel.scenarios' imports of repro.experiments cannot cycle.
-from repro.parallel import DurabilityOptions, RunInterrupted
+from repro.parallel import (
+    AiSpec,
+    DurabilityOptions,
+    FacilitySpec,
+    FaultsSpec,
+    JointSpec,
+    RunInterrupted,
+    ScalabilitySpec,
+    run_sharded,
+)
 from repro.workload.profiles import (
     WorkloadProfile,
     web_search_profile,
@@ -299,9 +310,26 @@ def _cmd_residency(args: argparse.Namespace) -> None:
     print(result.render())
 
 
-def _print_sharded(result) -> None:
-    """Report one shard-engine run: merged lines (the CI diff surface) on
-    stdout, the timing line separately since wall-clock is never stable."""
+def _wants_shards(args: argparse.Namespace) -> bool:
+    """``--shards`` or any durable-run flag selects the shard engine."""
+    return args.shards is not None or _durability(args) is not None
+
+
+def _run_sharded(args: argparse.Namespace, spec_type, **fields) -> None:
+    """Run one scenario on the shard engine and report it: merged lines (the
+    CI diff surface) on stdout, then the timing line, kept separate since
+    wall-clock is never stable."""
+    spec = spec_type(
+        n_partitions=args.partitions,
+        seed=args.seed,
+        audit=_audit_mode(args),
+        **fields,
+    )
+    result = run_sharded(
+        spec,
+        shards=args.shards if args.shards is not None else 1,
+        durability=_durability(args),
+    )
     print(result.merged.render())
     extras = ""
     if result.restored_edge is not None:
@@ -317,19 +345,13 @@ def _print_sharded(result) -> None:
 
 
 def _cmd_joint(args: argparse.Namespace) -> None:
-    durability = _durability(args)
-    if args.shards is not None or durability is not None:
-        _print_sharded(
-            joint_energy.run_joint_sharded(
-                shards=args.shards if args.shards is not None else 1,
-                partitions=args.partitions,
-                n_jobs=args.num_jobs,
-                utilization=args.utilizations[0],
-                k=args.fat_tree_k,
-                seed=args.seed,
-                audit=_audit_mode(args),
-                durability=durability,
-            )
+    if _wants_shards(args):
+        _run_sharded(
+            args,
+            JointSpec,
+            n_jobs=args.num_jobs,
+            utilization=args.utilizations[0],
+            fat_tree_k=args.fat_tree_k,
         )
         return
     comparison = joint_energy.run_joint_comparison(
@@ -364,17 +386,18 @@ def _cmd_validate_switch(args: argparse.Namespace) -> None:
 
 
 def _cmd_faults(args: argparse.Namespace) -> None:
-    durability = _durability(args)
-    if args.shards is not None or durability is not None:
-        _print_sharded(
-            fault_resilience.run_fault_resilience_sharded(
-                n_servers=args.servers,
-                shards=args.shards if args.shards is not None else 1,
-                partitions=args.partitions,
-                seed=args.seed,
-                audit=_audit_mode(args),
-                durability=durability,
-            )
+    if _wants_shards(args):
+        _run_sharded(
+            args,
+            FaultsSpec,
+            n_servers=args.servers,
+            n_cores=args.cores,
+            utilization=args.utilization,
+            duration_s=args.duration,
+            mtbf_s=args.mtbfs[0],
+            mttr_s=args.mttr,
+            retry_limit=args.retry_limit,
+            slo_latency_s=args.slo,
         )
         return
     sweep = fault_resilience.run_fault_resilience_sweep(
@@ -396,19 +419,18 @@ def _cmd_faults(args: argparse.Namespace) -> None:
 
 
 def _cmd_facility_carbon(args: argparse.Namespace) -> None:
-    durability = _durability(args)
-    if args.shards is not None or durability is not None:
-        _print_sharded(
-            facility_carbon.run_facility_carbon_sharded(
-                n_servers=args.servers,
-                shards=args.shards if args.shards is not None else 1,
-                partitions=args.partitions,
-                setpoint_c=args.setpoints[0],
-                carbon=args.carbon[0],
-                seed=args.seed,
-                audit=_audit_mode(args),
-                durability=durability,
-            )
+    if _wants_shards(args):
+        _run_sharded(
+            args,
+            FacilitySpec,
+            n_servers=args.servers,
+            n_cores=args.cores,
+            n_zones=args.zones,
+            utilization=args.utilization,
+            duration_s=args.duration,
+            setpoint_c=args.setpoints[0],
+            carbon=args.carbon[0],
+            thermal_limit_c=args.thermal_limit,
         )
         return
     sweep = facility_carbon.run_facility_carbon_sweep(
@@ -453,18 +475,17 @@ def _cmd_ai_training(args: argparse.Namespace) -> None:
         )
         print(result.render())
         return
-    if args.shards is not None:
-        _print_sharded(
-            ai_training.run_ai_training_sharded(
-                shards=args.shards,
-                partitions=args.partitions,
-                group_size=args.group_sizes[0],
-                n_steps=args.steps,
-                algorithm=args.algorithms[0],
-                k=args.fat_tree_k,
-                seed=args.seed,
-                audit=_audit_mode(args),
-            )
+    if _wants_shards(args):
+        _run_sharded(
+            args,
+            AiSpec,
+            group_size=args.group_sizes[0],
+            n_steps=args.steps,
+            algorithm=args.algorithms[0],
+            fat_tree_k=args.fat_tree_k,
+            compute_s=args.compute,
+            size_bytes=args.bytes,
+            phase_batch=args.phase_batch,
         )
         return
     comparison = ai_training.run_ai_training_sweep(
@@ -485,18 +506,9 @@ def _cmd_ai_training(args: argparse.Namespace) -> None:
 
 
 def _cmd_scalability(args: argparse.Namespace) -> None:
-    durability = _durability(args)
-    if args.shards is not None or durability is not None:
-        _print_sharded(
-            scalability.run_scalability_sharded(
-                n_servers=args.servers,
-                n_jobs=args.num_jobs,
-                shards=args.shards if args.shards is not None else 1,
-                partitions=args.partitions,
-                seed=args.seed,
-                audit=_audit_mode(args),
-                durability=durability,
-            )
+    if _wants_shards(args):
+        _run_sharded(
+            args, ScalabilitySpec, n_servers=args.servers, n_jobs=args.num_jobs
         )
         return
     if args.sizes:
@@ -743,7 +755,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=None, metavar="N",
                    help="run the fault-injection reference scenario on the "
                         "shard engine with N worker processes instead of the "
-                        "MTBF sweep; merged results are bit-identical across N")
+                        "MTBF sweep (first --mtbfs value); merged results are "
+                        "bit-identical across N")
     p.add_argument("--partitions", type=int, default=4, metavar="P",
                    help="model partitions for --shards (each with its own "
                         "fault injector; part of the scenario, not the "

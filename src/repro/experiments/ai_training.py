@@ -312,36 +312,6 @@ def run_ai_training_sweep(
     return AiTrainingComparison(results=results)
 
 
-def run_ai_training_sharded(
-    shards: int = 1,
-    partitions: int = 2,
-    group_size: int = 8,
-    n_steps: int = 2,
-    algorithm: str = "ring",
-    k: int = 4,
-    seed: int = 11,
-    audit: str = "warn",
-):
-    """Run the training scenario on the conservative-window shard engine.
-
-    Each partition hosts its own fat-tree(``k``) cluster training one
-    ``group_size``-rank group; merged stats are bit-identical across shard
-    counts.  Returns a :class:`repro.parallel.ShardRunResult`.
-    """
-    from repro.parallel import ai_spec, run_sharded
-
-    spec = ai_spec(
-        n_partitions=partitions,
-        group_size=group_size,
-        n_steps=n_steps,
-        algorithm=algorithm,
-        fat_tree_k=k,
-        seed=seed,
-        audit=audit,
-    )
-    return run_sharded(spec, shards=shards)
-
-
 @dataclass
 class GoalReplayResult:
     """Summary of one GOAL application-trace replay."""

@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 from repro.core.config import ServerConfig, small_cloud_server
+from repro.core.engine import Engine
 from repro.core.rng import RandomSource
 from repro.experiments.common import audit_farm, build_farm, drive
 from repro.facility import (
@@ -36,6 +37,7 @@ from repro.facility import (
 )
 from repro.power.dvfs import DvfsGovernor
 from repro.runner import SweepOptions, SweepSpec, run_sweep
+from repro.server.server import Server
 from repro.workload.arrivals import PoissonProcess, arrival_rate_for_utilization
 from repro.workload.profiles import WorkloadProfile, web_search_profile
 
@@ -64,6 +66,41 @@ class FacilityCarbonPoint:
     throttled_s: float
 
 
+def build_facility(
+    engine: Engine,
+    servers: Sequence[Server],
+    setpoint_c: float,
+    carbon: str = "solar",
+    price: str = "time-of-use",
+    n_zones: int = 2,
+    thermal_limit_c: float = 45.0,
+    period_s: float = 40.0,
+    facility_config: Optional[FacilityConfig] = None,
+) -> Facility:
+    """Wire a DVFS governor and a facility loop over ``servers``.
+
+    The one facility wiring shared by :func:`run_facility_carbon_point` and
+    the sharded ``facility`` scenario (:mod:`repro.parallel.scenarios`).
+    Nothing is started: callers start ``facility.governor``, then the
+    facility.  ``period_s`` is the length of one carbon/price/outside
+    temperature cycle.
+    """
+    base = facility_config or FacilityConfig(
+        tick_s=0.5,
+        n_zones=n_zones,
+        throttle=ThrottleConfig(limit_c=thermal_limit_c),
+    )
+    return Facility(
+        engine,
+        servers,
+        replace(base, setpoint_c=setpoint_c),
+        carbon=carbon_profile(carbon, period_s=period_s),
+        price=price_profile(price, period_s=period_s),
+        outside=outside_temperature_profile(period_s=period_s),
+        governor=DvfsGovernor(engine, servers),
+    )
+
+
 def run_facility_carbon_point(
     setpoint_c: float,
     carbon: str = "solar",
@@ -86,24 +123,18 @@ def run_facility_carbon_point(
     config = server_config or small_cloud_server(n_cores=n_cores)
     period_s = duration_s if signal_period_s is None else signal_period_s
     farm = build_farm(n_servers, config, seed=seed)
-
-    governor = DvfsGovernor(farm.engine, farm.servers)
-    governor.start()
-
-    base = facility_config or FacilityConfig(
-        tick_s=0.5,
-        n_zones=n_zones,
-        throttle=ThrottleConfig(limit_c=thermal_limit_c),
-    )
-    facility = Facility(
+    facility = build_facility(
         farm.engine,
         farm.servers,
-        replace(base, setpoint_c=setpoint_c),
-        carbon=carbon_profile(carbon, period_s=period_s),
-        price=price_profile(price, period_s=period_s),
-        outside=outside_temperature_profile(period_s=period_s),
-        governor=governor,
+        setpoint_c,
+        carbon=carbon,
+        price=price,
+        n_zones=n_zones,
+        thermal_limit_c=thermal_limit_c,
+        period_s=period_s,
+        facility_config=facility_config,
     )
+    facility.governor.start()
     facility.start(until=duration_s)
 
     rng = RandomSource(seed)
@@ -141,42 +172,6 @@ def run_facility_carbon_point(
         throttle_engagements=summary["throttle_engagements"],
         throttled_s=summary["throttled_s"],
     )
-
-
-def run_facility_carbon_sharded(
-    n_servers: int = 16,
-    n_jobs: int = 300,
-    shards: int = 1,
-    partitions: int = 4,
-    duration_s: float = 12.0,
-    setpoint_c: float = 26.0,
-    carbon: str = "solar",
-    seed: int = 1,
-    audit: str = "warn",
-    durability=None,
-):
-    """Run the facility-carbon scenario on the conservative-window shard engine.
-
-    Each partition runs its own thermal/cooling/carbon loop over its slice of
-    the farm.  ``partitions`` fixes the model; ``shards`` only changes which
-    processes advance it — merged stats are bit-identical across shard
-    counts.  ``durability`` (a :class:`repro.parallel.DurabilityOptions`)
-    enables checkpoint/restore and shard self-healing.  Returns a
-    :class:`repro.parallel.ShardRunResult`.
-    """
-    from repro.parallel import facility_spec, run_sharded
-
-    spec = facility_spec(
-        n_servers=n_servers,
-        n_jobs=n_jobs,
-        n_partitions=partitions,
-        duration_s=duration_s,
-        setpoint_c=setpoint_c,
-        carbon=carbon,
-        seed=seed,
-        audit=audit,
-    )
-    return run_sharded(spec, shards=shards, durability=durability)
 
 
 @dataclass

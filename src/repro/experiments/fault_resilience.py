@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 
 from repro.core.config import FaultConfig, ServerConfig, small_cloud_server
 from repro.core.rng import RandomSource
-from repro.experiments.common import audit_farm, build_farm, drive
+from repro.experiments.common import Farm, audit_farm, build_farm, drive
 from repro.faults.injector import FaultInjector
 from repro.runner import SweepOptions, SweepSpec, run_sweep
 from repro.workload.arrivals import PoissonProcess, arrival_rate_for_utilization
@@ -39,6 +39,23 @@ class FaultResiliencePoint:
     p99_latency_s: float
 
 
+def build_fault_injector(farm: Farm, fault_config: FaultConfig) -> FaultInjector:
+    """Give ``farm``'s scheduler the retry/SLO policy of ``fault_config`` and
+    build (not start) the farm's fault injector.
+
+    The one fault wiring shared by :func:`run_fault_resilience_point` and the
+    sharded ``faults`` scenario (:mod:`repro.parallel.scenarios`).
+    """
+    scheduler = farm.scheduler
+    scheduler.retry_limit = fault_config.retry_limit
+    scheduler.retry_backoff_s = fault_config.retry_backoff_s
+    scheduler.retry_backoff_factor = fault_config.retry_backoff_factor
+    scheduler.slo_latency_s = fault_config.slo_latency_s
+    return FaultInjector(
+        farm.engine, fault_config, farm.rng, servers=farm.servers, scheduler=scheduler
+    )
+
+
 def run_fault_resilience_point(
     fault_config: FaultConfig,
     n_servers: int = 20,
@@ -55,14 +72,7 @@ def run_fault_resilience_point(
     config = server_config or small_cloud_server(n_cores=n_cores)
     farm = build_farm(n_servers, config, seed=seed)
     scheduler = farm.scheduler
-    scheduler.retry_limit = fault_config.retry_limit
-    scheduler.retry_backoff_s = fault_config.retry_backoff_s
-    scheduler.retry_backoff_factor = fault_config.retry_backoff_factor
-    scheduler.slo_latency_s = fault_config.slo_latency_s
-
-    injector = FaultInjector(
-        farm.engine, fault_config, farm.rng, servers=farm.servers, scheduler=scheduler
-    )
+    injector = build_fault_injector(farm, fault_config)
     injector.start()
 
     rng = RandomSource(seed)
@@ -93,38 +103,6 @@ def run_fault_resilience_point(
         mean_latency_s=scheduler.job_latency.mean() if has_jobs else float("nan"),
         p99_latency_s=scheduler.job_latency.percentile(99) if has_jobs else float("nan"),
     )
-
-
-def run_fault_resilience_sharded(
-    n_servers: int = 24,
-    n_jobs: int = 300,
-    shards: int = 1,
-    partitions: int = 4,
-    duration_s: float = 12.0,
-    seed: int = 1,
-    audit: str = "warn",
-    durability=None,
-):
-    """Run the fault-resilience scenario on the conservative-window shard engine.
-
-    Each partition runs its own MTBF/MTTR fault injector over its slice of
-    the farm.  ``partitions`` fixes the model; ``shards`` only changes which
-    processes advance it — merged stats are bit-identical across shard
-    counts.  ``durability`` (a :class:`repro.parallel.DurabilityOptions`)
-    enables checkpoint/restore and shard self-healing.  Returns a
-    :class:`repro.parallel.ShardRunResult`.
-    """
-    from repro.parallel import faults_spec, run_sharded
-
-    spec = faults_spec(
-        n_servers=n_servers,
-        n_jobs=n_jobs,
-        n_partitions=partitions,
-        duration_s=duration_s,
-        seed=seed,
-        audit=audit,
-    )
-    return run_sharded(spec, shards=shards, durability=durability)
 
 
 @dataclass

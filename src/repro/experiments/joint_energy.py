@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -62,7 +62,7 @@ class _DagJobFactory:
 
     def __init__(
         self,
-        rng: np.random.Generator,
+        rng: Optional[np.random.Generator],
         n_stages: int = 2,
         service_low_s: float = 0.4,
         service_high_s: float = 1.2,
@@ -82,13 +82,19 @@ class _DagJobFactory:
     def mean_job_work_s(self) -> float:
         return self.n_stages * (self.service_low_s + self.service_high_s) / 2.0
 
-    def __call__(self, arrival_time: float) -> Job:
-        services = [
-            float(self.rng.uniform(self.service_low_s, self.service_high_s))
+    def stage_times(self, rng: np.random.Generator) -> Tuple[float, ...]:
+        """One job's per-stage service times, U(low, high) each, from ``rng``.
+
+        The sharded ``joint`` scenario's front end draws with this too.
+        """
+        return tuple(
+            float(rng.uniform(self.service_low_s, self.service_high_s))
             for _ in range(self.n_stages)
-        ]
+        )
+
+    def __call__(self, arrival_time: float) -> Job:
         return pipeline_job(
-            services,
+            self.stage_times(self.rng),
             transfer_bytes=self.transfer_bytes,
             arrival_time=arrival_time,
             job_type="dag-pipeline",
@@ -309,37 +315,3 @@ def run_joint_comparison(
         if result is not None:
             results[mode][rho] = result
     return JointComparison(results=results)
-
-
-def run_joint_sharded(
-    shards: int = 1,
-    partitions: int = 2,
-    n_jobs: int = 60,
-    utilization: float = 0.3,
-    k: int = 4,
-    mode: str = "network-aware",
-    seed: int = 11,
-    audit: str = "warn",
-    durability=None,
-):
-    """Run the joint-energy scenario on the conservative-window shard engine.
-
-    Each partition hosts its own fat-tree(``k``) cluster (``k**3 / 4``
-    servers), so the farm size is ``partitions * k**3 / 4``.  ``partitions``
-    fixes the model; ``shards`` only changes which processes advance it —
-    merged stats are bit-identical across shard counts.  ``durability``
-    (a :class:`repro.parallel.DurabilityOptions`) enables checkpoint/restore
-    and shard self-healing.  Returns a :class:`repro.parallel.ShardRunResult`.
-    """
-    from repro.parallel import joint_spec, run_sharded
-
-    spec = joint_spec(
-        n_partitions=partitions,
-        n_jobs=n_jobs,
-        utilization=utilization,
-        fat_tree_k=k,
-        joint_mode=mode,
-        seed=seed,
-        audit=audit,
-    )
-    return run_sharded(spec, shards=shards, durability=durability)

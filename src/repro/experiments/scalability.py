@@ -102,38 +102,6 @@ def run_scalability(
     )
 
 
-def run_scalability_sharded(
-    n_servers: int = 4_096,
-    n_jobs: int = 2_000,
-    shards: int = 1,
-    partitions: int = 4,
-    utilization: float = 0.3,
-    seed: int = 13,
-    audit: str = "warn",
-    durability=None,
-):
-    """Run the scalability scenario on the conservative-window shard engine.
-
-    ``partitions`` is a *model* parameter (it fixes the boundary topology and
-    therefore the results); ``shards`` is purely an *execution* parameter —
-    merged stats are bit-identical for every legal value.  ``durability``
-    (a :class:`repro.parallel.DurabilityOptions`) enables checkpoint/restore
-    and shard self-healing.  Returns a :class:`repro.parallel.ShardRunResult`.
-    """
-    # Imported lazily: repro.parallel imports repro.experiments.
-    from repro.parallel import run_sharded, scalability_spec
-
-    spec = scalability_spec(
-        n_servers=n_servers,
-        n_jobs=n_jobs,
-        n_partitions=partitions,
-        utilization=utilization,
-        seed=seed,
-        audit=audit,
-    )
-    return run_sharded(spec, shards=shards, durability=durability)
-
-
 @dataclass
 class ScalabilitySweep:
     """Simulator throughput across farm sizes (the Table I trajectory)."""

@@ -29,41 +29,37 @@ from repro.parallel.runtime import (
 )
 from repro.parallel.scenarios import (
     FRONTEND_PID,
-    SCENARIOS,
-    ScenarioSpec,
-    ai_spec,
-    build_partition,
-    facility_spec,
-    faults_spec,
-    joint_spec,
-    scalability_spec,
+    AiSpec,
+    FacilitySpec,
+    FaultsSpec,
+    JointSpec,
+    ScalabilitySpec,
+    ShardSpec,
 )
 
 __all__ = [
+    "AiSpec",
     "BarrierController",
     "DEFAULT_BARRIER_TIMEOUT_S",
     "DEFAULT_HEAL_SNAPSHOT_WINDOWS",
     "DurabilityOptions",
     "FRONTEND_PID",
+    "FacilitySpec",
+    "FaultsSpec",
     "InFlightLedger",
+    "JointSpec",
     "MergedStats",
     "Message",
     "ProtocolError",
     "RunInterrupted",
-    "SCENARIOS",
-    "ScenarioSpec",
+    "ScalabilitySpec",
     "ShardCrashError",
     "ShardEndpoint",
     "ShardError",
     "ShardRunResult",
-    "ai_spec",
-    "build_partition",
+    "ShardSpec",
     "delivery_edge_index",
     "drain_window_count",
-    "facility_spec",
-    "faults_spec",
-    "joint_spec",
     "merge_snapshots",
     "run_sharded",
-    "scalability_spec",
 ]

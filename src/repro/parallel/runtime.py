@@ -77,7 +77,7 @@ from repro.parallel.protocol import (
     ShardEndpoint,
     drain_window_count,
 )
-from repro.parallel.scenarios import ScenarioSpec, build_partition
+from repro.parallel.scenarios import ShardSpec
 from repro.scheduling.shard_map import ShardPlan
 
 #: Default bound on one barrier wait before a shard is declared dead.
@@ -183,7 +183,7 @@ class DurabilityOptions:
 class ShardRunResult:
     """Outcome of one sharded (or inline-serial) scenario execution."""
 
-    spec: ScenarioSpec
+    spec: ShardSpec
     shards: int
     windows: int
     t_end: float
@@ -205,11 +205,11 @@ class ShardRunResult:
 # ----------------------------------------------------------------------
 # Shared pieces
 # ----------------------------------------------------------------------
-def _boundary_links(spec: ScenarioSpec) -> Dict[Tuple[int, int], BoundaryLink]:
+def _boundary_links(spec: ShardSpec) -> Dict[Tuple[int, int], BoundaryLink]:
     return full_mesh(spec.n_partitions, spec.boundary_latency_s)
 
 
-def _lookahead(spec: ScenarioSpec, links) -> float:
+def _lookahead(spec: ShardSpec, links) -> float:
     derived = derive_lookahead(links.values())
     if derived == float("inf"):  # single partition: no boundary constraint
         return spec.boundary_latency_s
@@ -286,7 +286,7 @@ class _SignalCatcher:
         self._previous.clear()
 
 
-def _checkpoint_meta(spec: ScenarioSpec, shards: int, edge: int) -> Dict[str, object]:
+def _checkpoint_meta(spec: ShardSpec, shards: int, edge: int) -> Dict[str, object]:
     return {
         "scenario": spec.name,
         "fingerprint": scenario_fingerprint(spec),
@@ -300,7 +300,7 @@ def _checkpoint_meta(spec: ScenarioSpec, shards: int, edge: int) -> Dict[str, ob
 
 
 def _load_restore(
-    spec: ScenarioSpec, durability: Optional[DurabilityOptions], shards: int
+    spec: ShardSpec, durability: Optional[DurabilityOptions], shards: int
 ):
     """Verified ``(header, payload_object)`` from ``restore_from``, or None."""
     if durability is None or not durability.restore_from:
@@ -330,7 +330,7 @@ def _interrupt_reason(
 # ----------------------------------------------------------------------
 # Inline serial path (shards == 1): every partition on one engine
 # ----------------------------------------------------------------------
-def _build_inline_world(spec: ScenarioSpec, plan: ShardPlan) -> Dict[str, object]:
+def _build_inline_world(spec: ShardSpec, plan: ShardPlan) -> Dict[str, object]:
     engine = Engine()
     links = _boundary_links(spec)
     lookahead = _lookahead(spec, links)
@@ -339,7 +339,7 @@ def _build_inline_world(spec: ScenarioSpec, plan: ShardPlan) -> Dict[str, object
         pid: ShardEndpoint(pid, spec.window_s, lookahead) for pid in pids
     }
     parts = {
-        pid: build_partition(spec, plan, pid, engine, endpoints[pid])
+        pid: spec.model(spec, plan, pid, engine, endpoints[pid])
         for pid in pids
     }
     for pid in pids:
@@ -358,7 +358,7 @@ def _build_inline_world(spec: ScenarioSpec, plan: ShardPlan) -> Dict[str, object
 
 
 def _run_inline(
-    spec: ScenarioSpec,
+    spec: ShardSpec,
     plan: ShardPlan,
     durability: Optional[DurabilityOptions] = None,
     catcher: Optional[_SignalCatcher] = None,
@@ -435,7 +435,7 @@ def _run_inline(
 # ----------------------------------------------------------------------
 # Worker process (shards > 1)
 # ----------------------------------------------------------------------
-def _fire_chaos(spec: ScenarioSpec, pids: List[int], edge: int) -> None:
+def _fire_chaos(spec: ShardSpec, pids: List[int], edge: int) -> None:
     for cpid, cwindow, action in spec.chaos:
         if cpid in pids and cwindow == edge:
             if action == "exit":
@@ -451,7 +451,7 @@ def _fire_chaos(spec: ScenarioSpec, pids: List[int], edge: int) -> None:
 
 
 def _shard_worker_main(
-    conn, spec: ScenarioSpec, pids: List[int], restore_blob: Optional[bytes] = None
+    conn, spec: ShardSpec, pids: List[int], restore_blob: Optional[bytes] = None
 ) -> None:
     edge = 0
     try:
@@ -477,7 +477,7 @@ def _shard_worker_main(
                 pid: ShardEndpoint(pid, spec.window_s, lookahead) for pid in pids
             }
             parts = {
-                pid: build_partition(spec, plan, pid, engine, endpoints[pid])
+                pid: spec.model(spec, plan, pid, engine, endpoints[pid])
                 for pid in pids
             }
             for pid in pids:
@@ -601,7 +601,7 @@ class _Coordinator:
 
     def __init__(
         self,
-        spec: ScenarioSpec,
+        spec: ShardSpec,
         plan: ShardPlan,
         barrier_timeout_s: float,
         durability: Optional[DurabilityOptions],
@@ -799,7 +799,7 @@ class _Coordinator:
 
 
 def _run_coordinated(
-    spec: ScenarioSpec,
+    spec: ShardSpec,
     plan: ShardPlan,
     barrier_timeout_s: float,
     durability: Optional[DurabilityOptions] = None,
@@ -852,7 +852,7 @@ def _run_coordinated(
 # Entry point
 # ----------------------------------------------------------------------
 def run_sharded(
-    spec: ScenarioSpec,
+    spec: ShardSpec,
     shards: int = 1,
     barrier_timeout_s: float = DEFAULT_BARRIER_TIMEOUT_S,
     durability: Optional[DurabilityOptions] = None,

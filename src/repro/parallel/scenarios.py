@@ -18,36 +18,46 @@ window edges, the per-partition event streams are a function of the scenario
 alone — not of how partitions are packed onto worker processes.  That is the
 bit-identity property the determinism tests assert.
 
-These are deliberately *new* reference scenarios rather than shims over the
-serial experiments: the serial experiments' zero-delay scheduler→server
-calls would force a zero lookahead, which serializes shards.  The dispatch
-path here instead pays one quantized boundary latency, which is the price of
-parallelism the DESIGN.md protocol section derives.
+Each scenario is one :class:`ShardSpec` subclass next to its
+:class:`PartitionModel`; the spec's type picks the model.  A partition wires
+its farm with the same builder its serial experiment uses
+(:func:`~repro.experiments.common.build_farm`,
+:func:`~repro.experiments.fault_resilience.build_fault_injector`,
+:func:`~repro.experiments.facility_carbon.build_facility`,
+:func:`~repro.experiments.joint_energy.build_joint_cluster`,
+:func:`~repro.experiments.ai_training.build_ai_cluster`).  Only the front end
+differs from the serial run on purpose: the serial experiments' zero-delay
+scheduler→server calls would force a zero lookahead, which serializes
+shards, so dispatch here pays one quantized boundary latency — the price of
+parallelism the DESIGN.md protocol section derives — and each partition
+draws from its own seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.collective import training_step_job
 from repro.core.config import FaultConfig, small_cloud_server
 from repro.core.engine import Engine
 from repro.core.rng import RandomSource, exponential
+from repro.experiments.ai_training import build_ai_cluster, default_phase_batch
 from repro.experiments.common import build_farm
-from repro.experiments.joint_energy import build_joint_cluster
-from repro.faults.injector import FaultInjector
+from repro.experiments.facility_carbon import build_facility
+from repro.experiments.fault_resilience import build_fault_injector
+from repro.experiments.joint_energy import _DagJobFactory, build_joint_cluster
 from repro.jobs.task import Job
 from repro.parallel.protocol import EngineClock, Message, ShardEndpoint
 from repro.scheduling.policies import RoundRobinPolicy
 from repro.scheduling.shard_map import ShardPlan
 from repro.workload.arrivals import PoissonProcess, arrival_rate_for_utilization
+from repro.workload.profiles import ExponentialService
 
 #: The front end always lives on partition 0.
 FRONTEND_PID = 0
-
-SCENARIOS = ("scalability", "faults", "facility", "joint", "ai")
 
 #: Chaos actions understood by the worker runtime (crash-handling tests).
 #: ``kill`` is SIGKILL — no Python cleanup runs, the hardest crash shape.
@@ -55,66 +65,40 @@ CHAOS_ACTIONS = ("exit", "raise", "hang", "kill")
 
 
 @dataclass
-class ScenarioSpec:
-    """Complete, picklable description of one sharded reference scenario.
+class ShardSpec:
+    """What the window runtime reads; each scenario subclasses it.
 
-    ``n_partitions`` is a *model* parameter (results depend on it);
-    the worker count passed to :func:`repro.parallel.run_sharded` is purely
-    an execution parameter and never changes results.
+    A subclass adds the fields its partition model reads and sets ``name``
+    and ``model``.  The spec is picklable and complete: ``n_partitions`` is a
+    *model* parameter (results depend on it), while the worker count passed
+    to :func:`repro.parallel.run_sharded` is purely an execution parameter
+    and never changes results.
     """
 
-    name: str = "scalability"
-    n_servers: int = 64
-    n_jobs: int = 400
-    n_cores: int = 4
-    utilization: float = 0.3
-    mean_service_s: float = 0.005
-    seed: int = 13
     n_partitions: int = 4
+    seed: int = 1
     #: Window width W; partitions synchronize at edges k*W.
-    window_s: float = 1e-3
+    window_s: float = 0.25
     #: Declared inter-partition propagation delay (the lookahead L).
-    boundary_latency_s: float = 1e-3
+    boundary_latency_s: float = 0.25
     #: Simulated time to keep running after quiesce so queued ticks settle.
-    drain_s: float = 2e-3
-    duration_s: Optional[float] = None
-    max_windows: int = 200_000
+    drain_s: float = 0.5
     audit: str = "warn"
-    # -- faults ---------------------------------------------------------
-    mtbf_s: float = 8.0
-    mttr_s: float = 2.0
-    retry_limit: int = 3
-    slo_latency_s: Optional[float] = None
-    # -- facility -------------------------------------------------------
-    setpoint_c: float = 24.0
-    carbon: str = "solar"
-    price: str = "time-of-use"
-    zones_per_partition: int = 1
-    thermal_limit_c: float = 45.0
-    facility_tick_s: float = 0.5
-    # -- joint ----------------------------------------------------------
-    joint_mode: str = "network-aware"
-    fat_tree_k: int = 4
-    link_rate_bps: float = 10e9
-    transfer_bytes: float = 1e6
-    tau_s: float = 1.0
-    switch_idle_threshold_s: float = 2.0
-    # -- ai training ----------------------------------------------------
-    group_size: int = 8
-    ai_steps: int = 2
-    ai_algorithm: str = "ring"
-    ai_compute_s: float = 0.05
-    ai_size_bytes: float = 4e6
-    #: 0 selects :func:`repro.experiments.ai_training.default_phase_batch`.
-    ai_phase_batch: int = 0
-    # -- test hooks -----------------------------------------------------
     #: ``(pid, window, action)`` triples fired by the worker runtime just
     #: before reporting that window's barrier; used by the crash tests.
     chaos: Tuple[Tuple[int, int, str], ...] = ()
 
+    #: Scenario name, rendered as ``merged scenario=...``.
+    name: ClassVar[str]
+    #: The :class:`PartitionModel` subclass that builds one partition.
+    model: ClassVar[type]
+    #: A run still open after this many windows is a bug, not a long run.
+    max_windows: ClassVar[int] = 200_000
+    #: Simulated span the front end keeps open; ``None`` ends at the last
+    #: ack.  Scenarios with a fixed span redeclare it as a field.
+    duration_s: ClassVar[Optional[float]] = None
+
     def __post_init__(self) -> None:
-        if self.name not in SCENARIOS:
-            raise ValueError(f"scenario {self.name!r} not in {SCENARIOS}")
         if self.window_s <= 0 or self.boundary_latency_s <= 0:
             raise ValueError("window and boundary latency must be positive")
         for _, _, action in self.chaos:
@@ -143,7 +127,7 @@ class FrontEnd:
 
     def __init__(
         self,
-        spec: ScenarioSpec,
+        spec: ShardSpec,
         plan: ShardPlan,
         engine: Engine,
         endpoint: ShardEndpoint,
@@ -211,29 +195,11 @@ class FrontEnd:
 # Service-time draws (module-level classes: closures cannot be pickled,
 # and the front end holding them lives inside checkpointed worlds)
 # ----------------------------------------------------------------------
-class ExponentialDraw:
-    """Single-task service draw: Exp(mean) with ExponentialService's floor."""
-
-    __slots__ = ("mean",)
-
-    def __init__(self, mean: float):
-        self.mean = mean
+class ExponentialDraw(ExponentialService):
+    """Single-task service draw: the serial farms' exponential service time."""
 
     def __call__(self, rng: np.random.Generator) -> tuple:
-        # Same floor as ExponentialService: zero-length tasks break timing.
-        return (max(1e-9, float(rng.exponential(self.mean))),)
-
-
-class PipelineDraw:
-    """Two-stage joint-scenario draw: independent U(0.4, 1.2) stage times."""
-
-    __slots__ = ()
-
-    def __call__(self, rng: np.random.Generator) -> tuple:
-        return (
-            float(rng.uniform(0.4, 1.2)),
-            float(rng.uniform(0.4, 1.2)),
-        )
+        return (self.sample(rng),)
 
 
 class EmptyDraw:
@@ -258,7 +224,7 @@ class PartitionModel:
 
     def __init__(
         self,
-        spec: ScenarioSpec,
+        spec: ShardSpec,
         plan: ShardPlan,
         pid: int,
         engine: Engine,
@@ -283,8 +249,8 @@ class PartitionModel:
         if pid == FRONTEND_PID:
             self.frontend = FrontEnd(
                 spec, plan, engine, endpoint,
-                rate=self.arrival_rate(spec),
-                draw=self.draw_services(spec),
+                rate=self.arrival_rate(),
+                draw=self.draw_services(),
             )
 
     # -- scenario hooks --------------------------------------------------
@@ -294,15 +260,14 @@ class PartitionModel:
     def _build_job(self, payload: tuple, now: float) -> Job:
         raise NotImplementedError
 
-    @staticmethod
-    def arrival_rate(spec: ScenarioSpec) -> float:
+    def arrival_rate(self) -> float:
+        spec = self.spec
         return arrival_rate_for_utilization(
             spec.utilization, spec.mean_service_s, spec.n_servers, spec.n_cores
         )
 
-    @staticmethod
-    def draw_services(spec: ScenarioSpec):
-        return ExponentialDraw(spec.mean_service_s)
+    def draw_services(self):
+        return ExponentialDraw(self.spec.mean_service_s)
 
     # -- bus ------------------------------------------------------------
     def _ack_ok(self, job: Job) -> None:
@@ -375,11 +340,9 @@ class ScalabilityPartition(PartitionModel):
     """Plain farm under round-robin dispatch (the Table I shape)."""
 
     def _build(self) -> None:
-        spec = self.spec
-        config = small_cloud_server(n_cores=spec.n_cores)
         farm = build_farm(
             self.n_local,
-            config,
+            small_cloud_server(n_cores=self.spec.n_cores),
             policy=RoundRobinPolicy(),
             seed=self.part_seed,
             engine=self.engine,
@@ -395,30 +358,39 @@ class ScalabilityPartition(PartitionModel):
         return job
 
 
+@dataclass
+class ScalabilitySpec(ShardSpec):
+    """Sharded Table I point: big farm, short exponential tasks."""
+
+    seed: int = 13
+    window_s: float = 1e-3
+    boundary_latency_s: float = 1e-3
+    drain_s: float = 2e-3
+    n_servers: int = 64
+    n_jobs: int = 400
+
+    name: ClassVar[str] = "scalability"
+    model: ClassVar[type] = ScalabilityPartition
+    n_cores: ClassVar[int] = 4
+    utilization: ClassVar[float] = 0.3
+    mean_service_s: ClassVar[float] = 0.005
+
+
 class FaultsPartition(ScalabilityPartition):
     """Scalability farm plus a per-partition fault injector with retries."""
 
     def _build(self) -> None:
         super()._build()
         spec = self.spec
-        fault_config = FaultConfig(
-            enabled=True,
-            server_mtbf_s=spec.mtbf_s,
-            server_mttr_s=spec.mttr_s,
-            retry_limit=spec.retry_limit,
-            slo_latency_s=spec.slo_latency_s,
-        )
-        sched = self.scheduler
-        sched.retry_limit = fault_config.retry_limit
-        sched.retry_backoff_s = fault_config.retry_backoff_s
-        sched.retry_backoff_factor = fault_config.retry_backoff_factor
-        sched.slo_latency_s = fault_config.slo_latency_s
-        self.injector = FaultInjector(
-            self.engine,
-            fault_config,
-            self.farm.rng,
-            servers=self.servers,
-            scheduler=sched,
+        self.injector = build_fault_injector(
+            self.farm,
+            FaultConfig(
+                enabled=True,
+                server_mtbf_s=spec.mtbf_s,
+                server_mttr_s=spec.mttr_s,
+                retry_limit=spec.retry_limit,
+                slo_latency_s=spec.slo_latency_s,
+            ),
         )
 
     def start(self) -> None:
@@ -443,91 +415,110 @@ class FaultsPartition(ScalabilityPartition):
         }
 
 
+@dataclass
+class FaultsSpec(ShardSpec):
+    """Sharded fault-resilience reference: per-partition MTBF/MTTR faulting."""
+
+    n_servers: int = 24
+    n_jobs: int = 300
+    n_cores: int = 2
+    utilization: float = 0.3
+    duration_s: float = 12.0
+    mtbf_s: float = 8.0
+    mttr_s: float = 2.0
+    retry_limit: int = 3
+    slo_latency_s: Optional[float] = None
+
+    name: ClassVar[str] = "faults"
+    model: ClassVar[type] = FaultsPartition
+    mean_service_s: ClassVar[float] = 0.005
+
+
 class FacilityPartition(ScalabilityPartition):
     """Scalability farm plus a per-partition facility loop + DVFS governor."""
 
     def _build(self) -> None:
         super()._build()
-        from dataclasses import replace
-
-        from repro.facility import (
-            Facility,
-            FacilityConfig,
-            ThrottleConfig,
-            carbon_profile,
-            outside_temperature_profile,
-            price_profile,
-        )
-        from repro.power.dvfs import DvfsGovernor
-
         spec = self.spec
-        period_s = spec.duration_s if spec.duration_s is not None else 40.0
-        self.governor = DvfsGovernor(self.engine, self.servers)
-        base = FacilityConfig(
-            tick_s=spec.facility_tick_s,
-            n_zones=spec.zones_per_partition,
-            throttle=ThrottleConfig(limit_c=spec.thermal_limit_c),
-        )
-        self.facility = Facility(
+        self.facility = build_facility(
             self.engine,
             self.servers,
-            replace(base, setpoint_c=spec.setpoint_c),
-            carbon=carbon_profile(spec.carbon, period_s=period_s),
-            price=price_profile(spec.price, period_s=period_s),
-            outside=outside_temperature_profile(period_s=period_s),
-            governor=self.governor,
+            spec.setpoint_c,
+            carbon=spec.carbon,
+            n_zones=spec.n_zones,
+            thermal_limit_c=spec.thermal_limit_c,
+            period_s=spec.duration_s,
         )
 
     def start(self) -> None:
-        self.governor.start()
+        self.facility.governor.start()
         self.facility.start(until=self.spec.duration_s)
         super().start()
 
     def quiesce(self) -> None:
         self.facility.stop()
-        self.governor.stop()
+        self.facility.governor.stop()
 
     def extra_snapshot(self, t_end: float) -> Dict[str, object]:
         summary = self.facility.summary(t_end)
         return {f"facility_{k}": v for k, v in sorted(summary.items())}
 
 
+@dataclass
+class FacilitySpec(ShardSpec):
+    """Sharded facility-carbon reference: per-partition thermal/cooling loop."""
+
+    n_servers: int = 16
+    n_jobs: int = 300
+    n_cores: int = 2
+    utilization: float = 0.6
+    duration_s: float = 12.0
+    setpoint_c: float = 26.0
+    carbon: str = "solar"
+    #: Thermal zones per partition.
+    n_zones: int = 1
+    thermal_limit_c: float = 45.0
+
+    name: ClassVar[str] = "facility"
+    model: ClassVar[type] = FacilityPartition
+    mean_service_s: ClassVar[float] = 0.005
+
+
 class JointPartition(PartitionModel):
     """One fat-tree cluster per partition under the joint energy manager.
 
     Partition-local server ids are 0..k^3/4-1 (the fat-tree names its hosts
-    ``h0..h{n-1}``); ids are only meaningful within the partition.
+    ``h0..h{n-1}``); ids are only meaningful within the partition.  Stage
+    times and the mean job work come from the serial experiment's job
+    factory.
     """
 
     def _build(self) -> None:
         spec = self.spec
         cluster = build_joint_cluster(
             self.engine,
-            spec.joint_mode,
+            spec.mode,
             k=spec.fat_tree_k,
             n_cores=spec.n_cores,
             link_rate_bps=spec.link_rate_bps,
             tau_s=spec.tau_s,
             switch_idle_threshold_s=spec.switch_idle_threshold_s,
         )
-        if len(cluster.servers) != self.n_local:
-            raise ValueError(
-                f"joint scenario needs n_servers = n_partitions * (k^3/4); "
-                f"partition {self.pid} got {self.n_local} servers but the "
-                f"k={spec.fat_tree_k} cluster has {len(cluster.servers)}"
-            )
         self.cluster = cluster
         self.servers = cluster.servers
         self.scheduler = cluster.scheduler
+        # Stage draws take the front end's rng, not the factory's.
+        self.jobs = _DagJobFactory(None)
 
-    @staticmethod
-    def arrival_rate(spec: ScenarioSpec) -> float:
-        mean_job_work_s = 2 * (0.4 + 1.2) / 2.0
-        return spec.utilization * spec.n_servers * spec.n_cores / mean_job_work_s
+    def arrival_rate(self) -> float:
+        spec = self.spec
+        return (
+            spec.utilization * spec.n_servers * spec.n_cores
+            / self.jobs.mean_job_work_s
+        )
 
-    @staticmethod
-    def draw_services(spec: ScenarioSpec):
-        return PipelineDraw()
+    def draw_services(self):
+        return self.jobs.stage_times
 
     def _build_job(self, payload: tuple, now: float) -> Job:
         idx, s0, s1 = payload
@@ -551,6 +542,30 @@ class JointPartition(PartitionModel):
         }
 
 
+@dataclass
+class JointSpec(ShardSpec):
+    """Sharded joint-energy reference: one fat-tree(k) cluster per partition."""
+
+    n_partitions: int = 2
+    seed: int = 11
+    n_jobs: int = 60
+    utilization: float = 0.3
+    fat_tree_k: int = 4
+
+    name: ClassVar[str] = "joint"
+    model: ClassVar[type] = JointPartition
+    mode: ClassVar[str] = "network-aware"
+    n_cores: ClassVar[int] = 10
+    link_rate_bps: ClassVar[float] = 10e9
+    transfer_bytes: ClassVar[float] = 1e6
+    tau_s: ClassVar[float] = 1.0
+    switch_idle_threshold_s: ClassVar[float] = 2.0
+
+    @property
+    def n_servers(self) -> int:
+        return self.n_partitions * self.fat_tree_k**3 // 4
+
+
 class AiPartition(PartitionModel):
     """One fat-tree training cluster per partition (collective workloads).
 
@@ -560,8 +575,6 @@ class AiPartition(PartitionModel):
     """
 
     def _build(self) -> None:
-        from repro.experiments.ai_training import build_ai_cluster
-
         spec = self.spec
         cluster = build_ai_cluster(
             self.engine,
@@ -569,39 +582,31 @@ class AiPartition(PartitionModel):
             n_cores=spec.n_cores,
             link_rate_bps=spec.link_rate_bps,
         )
-        if len(cluster.servers) != self.n_local:
-            raise ValueError(
-                f"ai scenario needs n_servers = n_partitions * (k^3/4); "
-                f"partition {self.pid} got {self.n_local} servers but the "
-                f"k={spec.fat_tree_k} cluster has {len(cluster.servers)}"
-            )
         self.cluster = cluster
         self.servers = cluster.servers
         self.scheduler = cluster.scheduler
 
-    @staticmethod
-    def arrival_rate(spec: ScenarioSpec) -> float:
+    def arrival_rate(self) -> float:
         # One training job roughly every job-length of compute; the exact
         # value only shapes overlap, determinism does not depend on it.
-        return 1.0 / max(spec.ai_steps * spec.ai_compute_s, 1e-3)
+        spec = self.spec
+        return 1.0 / max(spec.n_steps * spec.compute_s, 1e-3)
 
-    @staticmethod
-    def draw_services(spec: ScenarioSpec):
+    def draw_services(self):
         return EmptyDraw()
 
     def _build_job(self, payload: tuple, now: float) -> Job:
-        from repro.experiments.ai_training import default_phase_batch
-        from repro.collective import training_step_job
-
         spec = self.spec
         (idx,) = payload
-        batch = spec.ai_phase_batch or default_phase_batch(spec.group_size)
+        batch = spec.phase_batch
+        if batch is None:
+            batch = default_phase_batch(spec.group_size)
         return training_step_job(
             spec.group_size,
-            spec.ai_steps,
-            compute_s=spec.ai_compute_s,
-            size_bytes=spec.ai_size_bytes,
-            algorithm=spec.ai_algorithm,
+            spec.n_steps,
+            compute_s=spec.compute_s,
+            size_bytes=spec.size_bytes,
+            algorithm=spec.algorithm,
             phase_batch=batch,
             arrival_time=now,
             job_id=idx,
@@ -621,163 +626,31 @@ class AiPartition(PartitionModel):
         }
 
 
-_PARTITION_CLASSES = {
-    "scalability": ScalabilityPartition,
-    "faults": FaultsPartition,
-    "facility": FacilityPartition,
-    "joint": JointPartition,
-    "ai": AiPartition,
-}
+@dataclass
+class AiSpec(ShardSpec):
+    """Sharded ai-training reference: one fat-tree training cluster each,
+    one training job per partition."""
 
+    n_partitions: int = 2
+    seed: int = 11
+    group_size: int = 8
+    n_steps: int = 2
+    algorithm: str = "ring"
+    fat_tree_k: int = 4
+    compute_s: float = 0.05
+    size_bytes: float = 4e6
+    #: ``None`` selects :func:`repro.experiments.ai_training.default_phase_batch`.
+    phase_batch: Optional[int] = None
 
-def build_partition(
-    spec: ScenarioSpec,
-    plan: ShardPlan,
-    pid: int,
-    engine: Engine,
-    endpoint: ShardEndpoint,
-) -> PartitionModel:
-    """Instantiate the scenario's partition model for partition ``pid``."""
-    return _PARTITION_CLASSES[spec.name](spec, plan, pid, engine, endpoint)
+    name: ClassVar[str] = "ai"
+    model: ClassVar[type] = AiPartition
+    n_cores: ClassVar[int] = 4
+    link_rate_bps: ClassVar[float] = 10e9
 
+    @property
+    def n_servers(self) -> int:
+        return self.n_partitions * self.fat_tree_k**3 // 4
 
-# ----------------------------------------------------------------------
-# Spec factories (the reference scenarios)
-# ----------------------------------------------------------------------
-def scalability_spec(
-    n_servers: int = 64,
-    n_jobs: int = 400,
-    n_partitions: int = 4,
-    utilization: float = 0.3,
-    seed: int = 13,
-    audit: str = "warn",
-) -> ScenarioSpec:
-    """Sharded Table I point: big farm, short exponential tasks."""
-    return ScenarioSpec(
-        name="scalability",
-        n_servers=n_servers,
-        n_jobs=n_jobs,
-        n_cores=4,
-        utilization=utilization,
-        mean_service_s=0.005,
-        seed=seed,
-        n_partitions=n_partitions,
-        window_s=1e-3,
-        boundary_latency_s=1e-3,
-        drain_s=2e-3,
-        audit=audit,
-    )
-
-
-def faults_spec(
-    n_servers: int = 24,
-    n_jobs: int = 300,
-    n_partitions: int = 4,
-    duration_s: float = 12.0,
-    seed: int = 1,
-    audit: str = "warn",
-) -> ScenarioSpec:
-    """Sharded fault-resilience reference: per-partition MTBF/MTTR faulting."""
-    return ScenarioSpec(
-        name="faults",
-        n_servers=n_servers,
-        n_jobs=n_jobs,
-        n_cores=2,
-        utilization=0.3,
-        mean_service_s=0.005,
-        seed=seed,
-        n_partitions=n_partitions,
-        window_s=0.25,
-        boundary_latency_s=0.25,
-        drain_s=0.5,
-        duration_s=duration_s,
-        audit=audit,
-    )
-
-
-def facility_spec(
-    n_servers: int = 16,
-    n_jobs: int = 300,
-    n_partitions: int = 4,
-    duration_s: float = 12.0,
-    setpoint_c: float = 26.0,
-    carbon: str = "solar",
-    seed: int = 1,
-    audit: str = "warn",
-) -> ScenarioSpec:
-    """Sharded facility-carbon reference: per-partition thermal/cooling loop."""
-    return ScenarioSpec(
-        name="facility",
-        n_servers=n_servers,
-        n_jobs=n_jobs,
-        n_cores=2,
-        utilization=0.6,
-        mean_service_s=0.005,
-        seed=seed,
-        n_partitions=n_partitions,
-        window_s=0.25,
-        boundary_latency_s=0.25,
-        drain_s=0.5,
-        duration_s=duration_s,
-        setpoint_c=setpoint_c,
-        carbon=carbon,
-        audit=audit,
-    )
-
-
-def ai_spec(
-    n_partitions: int = 2,
-    n_jobs: Optional[int] = None,
-    group_size: int = 8,
-    n_steps: int = 2,
-    algorithm: str = "ring",
-    fat_tree_k: int = 4,
-    seed: int = 11,
-    audit: str = "warn",
-) -> ScenarioSpec:
-    """Sharded ai-training reference: one fat-tree training cluster each."""
-    cluster_servers = fat_tree_k**3 // 4
-    return ScenarioSpec(
-        name="ai",
-        n_servers=n_partitions * cluster_servers,
-        n_jobs=n_jobs if n_jobs is not None else n_partitions,
-        n_cores=4,
-        seed=seed,
-        n_partitions=n_partitions,
-        window_s=0.25,
-        boundary_latency_s=0.25,
-        drain_s=0.5,
-        group_size=group_size,
-        ai_steps=n_steps,
-        ai_algorithm=algorithm,
-        fat_tree_k=fat_tree_k,
-        audit=audit,
-    )
-
-
-def joint_spec(
-    n_partitions: int = 2,
-    n_jobs: int = 60,
-    utilization: float = 0.3,
-    fat_tree_k: int = 4,
-    joint_mode: str = "network-aware",
-    seed: int = 11,
-    audit: str = "warn",
-) -> ScenarioSpec:
-    """Sharded joint-energy reference: one fat-tree cluster per partition."""
-    cluster_servers = fat_tree_k**3 // 4
-    return ScenarioSpec(
-        name="joint",
-        n_servers=n_partitions * cluster_servers,
-        n_jobs=n_jobs,
-        n_cores=10,
-        utilization=utilization,
-        seed=seed,
-        n_partitions=n_partitions,
-        window_s=0.25,
-        boundary_latency_s=0.25,
-        drain_s=0.5,
-        joint_mode=joint_mode,
-        fat_tree_k=fat_tree_k,
-        audit=audit,
-    )
+    @property
+    def n_jobs(self) -> int:
+        return self.n_partitions

@@ -373,15 +373,15 @@ def bench_parallel(
 ) -> Dict[str, Any]:
     """Shard-engine throughput: serial inline vs ``shards`` worker processes.
 
-    Runs the identical scalability :class:`~repro.parallel.ScenarioSpec` both
+    Runs the identical :class:`~repro.parallel.ScalabilitySpec` both
     ways (best-of-``best_of`` each to damp noise) and asserts the merged
     journal fingerprints match — the bench doubles as a determinism check.
     ``speedup`` > 1 requires real cores; on a single-CPU host the barrier
     and process overhead make it < 1, which is reported honestly.
     """
-    from repro.parallel import run_sharded, scalability_spec
+    from repro.parallel import ScalabilitySpec, run_sharded
 
-    spec = scalability_spec(n_servers=n_servers, n_jobs=n_jobs)
+    spec = ScalabilitySpec(n_servers=n_servers, n_jobs=n_jobs)
 
     def best(n_shards: int):
         return min(
@@ -469,9 +469,9 @@ def bench_durability(
       scheduler noise hides — and only a slowdown no rep can escape
       exhausts the budget.
     """
-    from repro.parallel import DurabilityOptions, run_sharded, scalability_spec
+    from repro.parallel import DurabilityOptions, ScalabilitySpec, run_sharded
 
-    spec = scalability_spec(n_servers=n_servers, n_jobs=n_jobs)
+    spec = ScalabilitySpec(n_servers=n_servers, n_jobs=n_jobs)
     idle = DurabilityOptions(checkpoint_every_s=0.0)
     plain_best = durable_best = None
     reps = 0

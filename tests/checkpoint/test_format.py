@@ -16,7 +16,7 @@ from repro.checkpoint import (
     scenario_fingerprint,
     write_checkpoint,
 )
-from repro.parallel import DurabilityOptions, run_sharded, scalability_spec
+from repro.parallel import DurabilityOptions, ScalabilitySpec, run_sharded
 
 
 def _meta(spec, shards=1, edge=7):
@@ -34,7 +34,7 @@ def _meta(spec, shards=1, edge=7):
 
 class TestEnvelope:
     def test_roundtrip(self, tmp_path):
-        spec = scalability_spec()
+        spec = ScalabilitySpec()
         path = str(tmp_path / "run.ckpt")
         payload = b"\x80\x04 arbitrary payload bytes \x00\xff"
         write_checkpoint(path, payload, _meta(spec))
@@ -45,7 +45,7 @@ class TestEnvelope:
         assert header["fingerprint"] == scenario_fingerprint(spec)
 
     def test_write_replaces_atomically_and_leaves_no_tmp(self, tmp_path):
-        spec = scalability_spec()
+        spec = ScalabilitySpec()
         path = str(tmp_path / "run.ckpt")
         write_checkpoint(path, b"old", _meta(spec, edge=1))
         write_checkpoint(path, b"new", _meta(spec, edge=2))
@@ -55,7 +55,7 @@ class TestEnvelope:
         assert [f for f in os.listdir(tmp_path) if f != "run.ckpt"] == []
 
     def test_corrupt_payload_refused(self, tmp_path):
-        spec = scalability_spec()
+        spec = ScalabilitySpec()
         path = str(tmp_path / "run.ckpt")
         write_checkpoint(path, b"payload-bytes", _meta(spec))
         with open(path, "r+b") as fh:
@@ -65,7 +65,7 @@ class TestEnvelope:
             read_checkpoint(path)
 
     def test_truncated_payload_refused(self, tmp_path):
-        spec = scalability_spec()
+        spec = ScalabilitySpec()
         path = str(tmp_path / "run.ckpt")
         write_checkpoint(path, b"payload-bytes", _meta(spec))
         data = open(path, "rb").read()
@@ -88,7 +88,7 @@ class TestEnvelope:
         # idle-server cohorts; the payload below names a missing module the
         # same way): restore must refuse on the header's format version,
         # never reach the unpickler and its ImportError.
-        spec = scalability_spec()
+        spec = ScalabilitySpec()
         ckpt = tmp_path / "v1.ckpt"
         path = str(ckpt)
         payload = b"crepro.removed_module\nRemovedClass\n."
@@ -106,18 +106,18 @@ class TestEnvelope:
 
 class TestScenarioFingerprint:
     def test_stable_across_calls(self):
-        assert scenario_fingerprint(scalability_spec()) == scenario_fingerprint(
-            scalability_spec()
+        assert scenario_fingerprint(ScalabilitySpec()) == scenario_fingerprint(
+            ScalabilitySpec()
         )
 
     def test_model_fields_change_it(self):
-        base = scenario_fingerprint(scalability_spec())
-        assert scenario_fingerprint(scalability_spec(seed=99)) != base
-        assert scenario_fingerprint(scalability_spec(n_servers=128)) != base
+        base = scenario_fingerprint(ScalabilitySpec())
+        assert scenario_fingerprint(ScalabilitySpec(seed=99)) != base
+        assert scenario_fingerprint(ScalabilitySpec(n_servers=128)) != base
 
     def test_verification_knobs_do_not(self):
-        base = scenario_fingerprint(scalability_spec())
-        spec = scalability_spec(audit="strict")
+        base = scenario_fingerprint(ScalabilitySpec())
+        spec = ScalabilitySpec(audit="strict")
         assert scenario_fingerprint(spec) == base
         chaotic = replace(spec, chaos=((2, 3, "exit"),))
         assert scenario_fingerprint(chaotic) == base
@@ -125,22 +125,22 @@ class TestScenarioFingerprint:
 
 class TestCheckRestorable:
     def test_accepts_matching_run(self, tmp_path):
-        spec = scalability_spec()
+        spec = ScalabilitySpec()
         path = str(tmp_path / "run.ckpt")
         write_checkpoint(path, b"p", _meta(spec, shards=2, edge=3))
         header, _ = read_checkpoint(path)
         check_restorable(header, spec, shards=2, path=path)
 
     def test_refuses_fingerprint_mismatch(self, tmp_path):
-        spec = scalability_spec()
+        spec = ScalabilitySpec()
         path = str(tmp_path / "run.ckpt")
         write_checkpoint(path, b"p", _meta(spec))
         header, _ = read_checkpoint(path)
         with pytest.raises(CheckpointError, match="fingerprint"):
-            check_restorable(header, scalability_spec(seed=99), shards=1, path=path)
+            check_restorable(header, ScalabilitySpec(seed=99), shards=1, path=path)
 
     def test_refuses_mode_mismatch(self, tmp_path):
-        spec = scalability_spec()
+        spec = ScalabilitySpec()
         path = str(tmp_path / "run.ckpt")
         write_checkpoint(path, b"p", _meta(spec, shards=1))
         header, _ = read_checkpoint(path)
@@ -148,7 +148,7 @@ class TestCheckRestorable:
             check_restorable(header, spec, shards=2, path=path)
 
     def test_refuses_shard_count_mismatch(self, tmp_path):
-        spec = scalability_spec()
+        spec = ScalabilitySpec()
         path = str(tmp_path / "run.ckpt")
         write_checkpoint(path, b"p", _meta(spec, shards=2))
         header, _ = read_checkpoint(path)

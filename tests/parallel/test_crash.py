@@ -14,15 +14,15 @@ from dataclasses import replace
 import pytest
 
 from repro.parallel import (
+    ScalabilitySpec,
     ShardCrashError,
     ShardError,
     run_sharded,
-    scalability_spec,
 )
 
 
 def _chaos_spec(action: str):
-    spec = scalability_spec(n_servers=32, n_jobs=200)
+    spec = ScalabilitySpec(n_servers=32, n_jobs=200)
     return replace(spec, chaos=((2, 3, action),))
 
 
@@ -56,6 +56,6 @@ class TestShardCrashHandling:
         assert result.merged.totals["jobs_completed"] == 200
 
     def test_healthy_run_unaffected_by_short_timeout(self):
-        spec = scalability_spec(n_servers=32, n_jobs=100)
+        spec = ScalabilitySpec(n_servers=32, n_jobs=100)
         result = run_sharded(spec, shards=2, barrier_timeout_s=30.0)
         assert result.merged.totals["jobs_completed"] == 100

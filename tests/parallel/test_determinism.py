@@ -1,7 +1,7 @@
 """Bit-identity of sharded vs serial execution on the reference scenarios.
 
 The load-bearing guarantee of :mod:`repro.parallel`: for a fixed
-:class:`~repro.parallel.ScenarioSpec` (which fixes the partition count), the
+:class:`~repro.parallel.ShardSpec` (which fixes the partition count), the
 merged stats, rendered report, and boundary-journal fingerprint are the same
 bytes whether the partitions run inline on one engine (``shards=1``) or on
 any number of worker processes.  Every run here executes under
@@ -14,10 +14,10 @@ from __future__ import annotations
 import pytest
 
 from repro.parallel import (
-    facility_spec,
-    faults_spec,
+    FacilitySpec,
+    FaultsSpec,
+    ScalabilitySpec,
     run_sharded,
-    scalability_spec,
 )
 
 
@@ -30,13 +30,13 @@ def _render_and_fingerprint(spec, shards):
 @pytest.mark.timeout(300)
 class TestShardDeterminism:
     def test_scalability_identical_at_1_2_4_shards(self):
-        spec = scalability_spec(n_servers=64, n_jobs=200, audit="strict")
+        spec = ScalabilitySpec(n_servers=64, n_jobs=200, audit="strict")
         baseline = _render_and_fingerprint(spec, 1)
         assert _render_and_fingerprint(spec, 2) == baseline
         assert _render_and_fingerprint(spec, 4) == baseline
 
     def test_fault_resilience_identical_at_1_2_4_shards(self):
-        spec = faults_spec(
+        spec = FaultsSpec(
             n_servers=24, n_jobs=150, duration_s=4.0, audit="strict"
         )
         baseline = _render_and_fingerprint(spec, 1)
@@ -46,7 +46,7 @@ class TestShardDeterminism:
         assert "failures_injected=0" not in baseline[0]
 
     def test_facility_carbon_identical_at_1_2_4_shards(self):
-        spec = facility_spec(
+        spec = FacilitySpec(
             n_servers=16, n_jobs=150, duration_s=4.0, audit="strict"
         )
         baseline = _render_and_fingerprint(spec, 1)
@@ -56,8 +56,8 @@ class TestShardDeterminism:
     def test_seed_changes_fingerprint(self):
         # The fingerprint is a real witness: different traffic → different
         # hash (otherwise the identity assertions above prove nothing).
-        a = run_sharded(scalability_spec(n_servers=64, n_jobs=100, seed=1), 1)
-        b = run_sharded(scalability_spec(n_servers=64, n_jobs=100, seed=2), 1)
+        a = run_sharded(ScalabilitySpec(n_servers=64, n_jobs=100, seed=1), 1)
+        b = run_sharded(ScalabilitySpec(n_servers=64, n_jobs=100, seed=2), 1)
         assert a.merged.journal_fingerprint != b.merged.journal_fingerprint
 
 
@@ -65,7 +65,7 @@ class TestShardDeterminism:
 @pytest.mark.timeout(120)
 class TestShardResultShape:
     def test_merged_counters_conserve(self):
-        spec = scalability_spec(n_servers=32, n_jobs=120, audit="strict")
+        spec = ScalabilitySpec(n_servers=32, n_jobs=120, audit="strict")
         result = run_sharded(spec, shards=2)
         totals = result.merged.totals
         assert totals["fe_dispatched"] == 120
@@ -78,7 +78,7 @@ class TestShardResultShape:
         assert edges == pytest.approx(round(edges))
 
     def test_events_executed_matches_serial_total(self):
-        spec = scalability_spec(n_servers=32, n_jobs=120)
+        spec = ScalabilitySpec(n_servers=32, n_jobs=120)
         serial = run_sharded(spec, shards=1)
         sharded = run_sharded(spec, shards=2)
         assert sharded.merged.events_executed == serial.merged.events_executed
@@ -86,6 +86,6 @@ class TestShardResultShape:
     def test_partition_count_is_a_model_parameter(self):
         # Changing n_partitions legitimately changes results (routing and
         # boundary quantization differ); it must not silently alias.
-        p2 = run_sharded(scalability_spec(n_servers=64, n_jobs=100, n_partitions=2), 1)
-        p4 = run_sharded(scalability_spec(n_servers=64, n_jobs=100, n_partitions=4), 1)
+        p2 = run_sharded(ScalabilitySpec(n_servers=64, n_jobs=100, n_partitions=2), 1)
+        p4 = run_sharded(ScalabilitySpec(n_servers=64, n_jobs=100, n_partitions=4), 1)
         assert p2.merged.journal_fingerprint != p4.merged.journal_fingerprint

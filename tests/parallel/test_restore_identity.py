@@ -18,25 +18,25 @@ import pytest
 
 from repro.parallel import (
     DurabilityOptions,
+    FacilitySpec,
+    FaultsSpec,
+    JointSpec,
     RunInterrupted,
-    facility_spec,
-    faults_spec,
-    joint_spec,
+    ScalabilitySpec,
     run_sharded,
-    scalability_spec,
 )
 
 SPECS = {
-    "scalability": lambda: scalability_spec(
+    "scalability": lambda: ScalabilitySpec(
         n_servers=32, n_jobs=200, audit="strict"
     ),
-    "faults": lambda: faults_spec(
+    "faults": lambda: FaultsSpec(
         n_servers=24, n_jobs=150, duration_s=4.0, audit="strict"
     ),
-    "facility": lambda: facility_spec(
+    "facility": lambda: FacilitySpec(
         n_servers=16, n_jobs=150, duration_s=4.0, audit="strict"
     ),
-    "joint": lambda: joint_spec(n_jobs=40, audit="strict"),
+    "joint": lambda: JointSpec(n_jobs=40, audit="strict"),
 }
 
 
@@ -109,11 +109,11 @@ class TestRestoreRefusals:
     def test_refuses_different_scenario_parameters(self, tmp_path):
         from repro.checkpoint import CheckpointError
 
-        spec = scalability_spec(n_servers=32, n_jobs=200)
+        spec = ScalabilitySpec(n_servers=32, n_jobs=200)
         path = self._checkpoint(tmp_path, spec)
         with pytest.raises(CheckpointError, match="fingerprint"):
             run_sharded(
-                scalability_spec(n_servers=32, n_jobs=200, seed=99),
+                ScalabilitySpec(n_servers=32, n_jobs=200, seed=99),
                 shards=1,
                 durability=DurabilityOptions(restore_from=path),
             )
@@ -121,7 +121,7 @@ class TestRestoreRefusals:
     def test_refuses_shard_layout_change(self, tmp_path):
         from repro.checkpoint import CheckpointError
 
-        spec = scalability_spec(n_servers=32, n_jobs=200)
+        spec = ScalabilitySpec(n_servers=32, n_jobs=200)
         path = self._checkpoint(tmp_path, spec, shards=2)
         with pytest.raises(CheckpointError, match="re-packed"):
             run_sharded(
@@ -129,7 +129,7 @@ class TestRestoreRefusals:
             )
 
     def test_interrupt_without_checkpoint_path_loses_nothing_silently(self):
-        spec = scalability_spec(n_servers=32, n_jobs=200)
+        spec = ScalabilitySpec(n_servers=32, n_jobs=200)
         with pytest.raises(RunInterrupted, match="not saved"):
             run_sharded(
                 spec,
@@ -140,7 +140,7 @@ class TestRestoreRefusals:
     def test_periodic_checkpoint_cadence_writes_latest_barrier(self, tmp_path):
         from repro.checkpoint import read_checkpoint
 
-        spec = scalability_spec(n_servers=32, n_jobs=200)
+        spec = ScalabilitySpec(n_servers=32, n_jobs=200)
         path = str(tmp_path / "run.ckpt")
         result = run_sharded(
             spec,

@@ -19,10 +19,10 @@ import pytest
 from repro.parallel import (
     DEFAULT_HEAL_SNAPSHOT_WINDOWS,
     DurabilityOptions,
+    ScalabilitySpec,
     ShardCrashError,
     ShardError,
     run_sharded,
-    scalability_spec,
 )
 
 HEAL = DurabilityOptions(heal_retries=2, heal_backoff_s=0.05)
@@ -30,7 +30,7 @@ HEAL = DurabilityOptions(heal_retries=2, heal_backoff_s=0.05)
 
 def _spec(chaos=()):
     return replace(
-        scalability_spec(n_servers=32, n_jobs=200, audit="strict"), chaos=chaos
+        ScalabilitySpec(n_servers=32, n_jobs=200, audit="strict"), chaos=chaos
     )
 
 

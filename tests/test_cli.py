@@ -191,6 +191,22 @@ class TestExecution:
         ]
         assert merged(restored) == merged(reference)
 
+    @pytest.mark.parametrize("command, flag, a, b", [
+        (["faults", "--servers", "8", "--duration", "4"], "--mtbfs", "5", "500"),
+        (["facility-carbon", "--servers", "8", "--duration", "4"],
+         "--zones", "1", "2"),
+        (["ai-training", "--group-sizes", "4"], "--compute", "0.05", "0.5"),
+    ])
+    def test_sharded_run_honours_model_flags(self, capsys, command, flag, a, b):
+        def merged(value):
+            main(command + [flag, value, "--shards", "1"])
+            out = capsys.readouterr().out
+            return [l for l in out.splitlines() if l.startswith("merged ")]
+
+        first = merged(a)
+        assert first, "sharded run produced no merged lines"
+        assert merged(b) != first
+
     def test_bench_quick_smoke(self, capsys, tmp_path):
         import json
 

@@ -26,8 +26,9 @@ the engine compacts it whenever cancelled entries outnumber live ones (and
 the heap is big enough for compaction to pay for itself).
 
 Simulating a >20K-server farm (Table I of the paper) pushes millions of
-events through this loop; :meth:`Engine.run` inlines the pop-dispatch cycle
-and avoids allocation beyond the heap entry itself.
+events through this loop; one private loop behind :meth:`Engine.run` and
+:meth:`Engine.step` inlines the pop-dispatch cycle and avoids allocation
+beyond the heap entry itself.
 """
 
 from __future__ import annotations
@@ -158,10 +159,11 @@ class Engine:
 
         The hook *replaces* the ``callback(*args)`` call and is responsible
         for invoking it (so a profiler can time exactly the dispatch).  Pass
-        None to uninstall.  With no hook installed :meth:`run` executes the
-        exact pre-hook loop — the telemetry microbench in ``repro bench``
-        holds this fast path to <1% of baseline.  Installing a hook while
-        :meth:`run` is executing takes effect on the next :meth:`run` call.
+        None to uninstall.  The loop reads the hook once per :meth:`run` or
+        :meth:`step` call and tests it per event; with no hook installed
+        the telemetry microbench in ``repro bench`` holds dispatch to within
+        its gate of the committed baseline.  Installing a hook while
+        :meth:`run` is executing takes effect on the next call.
         """
         if hook is not None and not callable(hook):
             raise TypeError(f"dispatch hook must be callable or None, got {hook!r}")
@@ -215,34 +217,19 @@ class Engine:
     # ------------------------------------------------------------------
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next pending event, or None if the queue is empty."""
-        self._drop_cancelled_head()
-        if not self._heap:
-            return None
-        return self._heap[0][0]
+        heap = self._heap
+        while heap and heap[0][2] is None and heap[0][3].cancelled:
+            heapq.heappop(heap)
+            self._cancelled -= 1
+        return heap[0][0] if heap else None
 
     def step(self) -> bool:
-        """Execute the next pending event.  Returns False if none remain."""
-        heap = self._heap
-        while heap:
-            time, _seq, callback, args = heapq.heappop(heap)
-            if callback is None:
-                handle: EventHandle = args
-                if handle.cancelled:
-                    self._cancelled -= 1
-                    continue
-                callback, args = handle.callback, handle.args
-                # Mark fired before invoking so `pending` is False inside
-                # the callback.
-                handle.callback = None
-                handle.args = ()
-            self._now = time
-            self.events_executed += 1
-            if self._dispatch_hook is None:
-                callback(*args)
-            else:
-                self._dispatch_hook(time, callback, args)
-            return True
-        return False
+        """Execute the next pending event.  Returns False if none remain.
+
+        Unlike :meth:`run`, a step ignores an earlier :meth:`stop`: the
+        caller asked for exactly one event.
+        """
+        return self._loop(None, None, True)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run the event loop.
@@ -260,78 +247,52 @@ class Engine:
         self._running = True
         self._stopped = False
         try:
-            if self._dispatch_hook is None:
-                self._run_fast(until, max_events)
-            else:
-                self._run_hooked(until, max_events, self._dispatch_hook)
+            self._loop(until, max_events)
         finally:
             self._running = False
         if until is not None and self._now < until and not self._stopped:
             self._now = until
 
-    def _run_fast(self, until: Optional[float], max_events: Optional[int]) -> None:
-        """The uninstrumented dispatch loop — the pre-hook hot path, verbatim."""
-        executed = 0
+    def _loop(
+        self, until: Optional[float], max_events: Optional[int], once: bool = False
+    ) -> bool:
+        """Pop and dispatch events; the one loop behind :meth:`run` and :meth:`step`.
+
+        Returns True right after an event when ``once`` or when that event
+        called :meth:`stop`, and False once no event at or before ``until``
+        remains.  The dispatch hook is read once per call, so installing one
+        mid-run takes effect on the next call.
+        """
+        first = self.events_executed
         pop = heapq.heappop
-        while not self._stopped:
+        hook = self._dispatch_hook
+        while True:
             # Re-read the heap each iteration: compaction (triggered by
             # cancellations inside callbacks) rebinds the list.
             heap = self._heap
             while heap and heap[0][2] is None and heap[0][3].cancelled:
                 pop(heap)
                 self._cancelled -= 1
-            if not heap:
-                break
-            if until is not None and heap[0][0] > until:
-                break
-            if max_events is not None and executed >= max_events:
+            if not heap or (until is not None and heap[0][0] > until):
+                return False
+            if max_events is not None and self.events_executed - first >= max_events:
                 raise SimulationError(f"exceeded max_events={max_events}")
             time, _seq, callback, args = pop(heap)
             if callback is None:
                 handle: EventHandle = args
                 callback, args = handle.callback, handle.args
+                # Mark fired before invoking so `pending` is False inside
+                # the callback.
                 handle.callback = None
                 handle.args = ()
             self._now = time
             self.events_executed += 1
-            executed += 1
-            callback(*args)
-
-    def _run_hooked(
-        self,
-        until: Optional[float],
-        max_events: Optional[int],
-        hook: Callable[[float, Callable[..., Any], tuple], None],
-    ) -> None:
-        """The same loop with dispatch routed through ``hook``.
-
-        A separate method (rather than a per-event hook check in
-        :meth:`_run_fast`) so enabling profiling costs nothing when it is
-        off: the branch happens once per :meth:`run`, not once per event.
-        """
-        executed = 0
-        pop = heapq.heappop
-        while not self._stopped:
-            heap = self._heap
-            while heap and heap[0][2] is None and heap[0][3].cancelled:
-                pop(heap)
-                self._cancelled -= 1
-            if not heap:
-                break
-            if until is not None and heap[0][0] > until:
-                break
-            if max_events is not None and executed >= max_events:
-                raise SimulationError(f"exceeded max_events={max_events}")
-            time, _seq, callback, args = pop(heap)
-            if callback is None:
-                handle: EventHandle = args
-                callback, args = handle.callback, handle.args
-                handle.callback = None
-                handle.args = ()
-            self._now = time
-            self.events_executed += 1
-            executed += 1
-            hook(time, callback, args)
+            if hook is None:
+                callback(*args)
+            else:
+                hook(time, callback, args)
+            if once or self._stopped:
+                return True
 
     def run_until(self, t: float) -> None:
         """Advance the clock to exactly ``t``, executing events **before** it.
@@ -459,12 +420,6 @@ class Engine:
         ]
         heapq.heapify(self._heap)
         self._cancelled = 0
-
-    def _drop_cancelled_head(self) -> None:
-        heap = self._heap
-        while heap and heap[0][2] is None and heap[0][3].cancelled:
-            heapq.heappop(heap)
-            self._cancelled -= 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Engine t={self._now:.6f} queued={len(self._heap)}>"

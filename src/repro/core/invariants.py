@@ -32,8 +32,9 @@ failure instead of journaling a corrupt result.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import Engine
@@ -47,6 +48,15 @@ if TYPE_CHECKING:  # pragma: no cover
 REL_TOL = 1e-9
 #: Absolute floor so comparisons near zero do not demand exact equality.
 ABS_TOL = 1e-6
+
+#: Valid values for every ``audit`` parameter (see :meth:`AuditReport.enforce`).
+AUDIT_MODES = ("off", "warn", "strict")
+
+
+def check_audit_mode(mode: str) -> None:
+    """Raise :class:`ValueError` unless ``mode`` is one of :data:`AUDIT_MODES`."""
+    if mode not in AUDIT_MODES:
+        raise ValueError(f"audit mode {mode!r} not in {AUDIT_MODES}")
 
 
 @dataclass(frozen=True)
@@ -96,6 +106,27 @@ class AuditReport:
         if not self.ok:
             raise InvariantError(self)
 
+    @staticmethod
+    def enforce(
+        mode: str, audit: Callable[[], "AuditReport"]
+    ) -> Optional["AuditReport"]:
+        """Run ``audit()`` and react to its violations as ``mode`` says.
+
+        ``"off"`` skips the audit entirely, ``"warn"`` prints the report to
+        stderr and carries on, and ``"strict"`` raises :class:`InvariantError`
+        so a sweep point fails instead of journaling a corrupt result.  Any
+        other mode raises :class:`ValueError`.
+        """
+        check_audit_mode(mode)
+        if mode == "off":
+            return None
+        report = audit()
+        if not report.ok:
+            if mode == "strict":
+                report.raise_if_violated()
+            print(f"[repro.invariants] {report.render()}", file=sys.stderr)
+        return report
+
 
 class InvariantError(AssertionError):
     """A conservation audit failed; the run's numbers cannot be trusted."""
@@ -111,7 +142,7 @@ def _close(a: float, b: float, scale: float = 1.0) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Individual audits (composable; audit_farm / audit_run bundle them)
+# Individual audits (composable; audit_run bundles them)
 # ----------------------------------------------------------------------
 def audit_engine(
     engine: "Engine", expect_drained: bool = False
@@ -455,27 +486,6 @@ def audit_run(
     if facility is not None:
         report.merge(audit_facility(facility, t))
     return report
-
-
-def audit_farm(
-    farm,
-    driver: Optional["WorkloadDriver"] = None,
-    availability: Iterable["AvailabilityTracker"] = (),
-    now: Optional[float] = None,
-    expect_drained: bool = False,
-    facility: Optional["Facility"] = None,
-) -> AuditReport:
-    """Audit an :class:`~repro.experiments.common.Farm` after a run."""
-    return audit_run(
-        farm.engine,
-        servers=farm.servers,
-        scheduler=farm.scheduler,
-        driver=driver,
-        availability=availability,
-        now=now,
-        expect_drained=expect_drained,
-        facility=facility,
-    )
 
 
 def audit_parallel(snapshots: Sequence[dict], window_s: float, t_end: float) -> AuditReport:

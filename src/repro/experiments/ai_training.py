@@ -23,23 +23,20 @@ trace (:mod:`repro.workload.goal`) instead of a synthetic template.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import LinkConfig, ServerConfig, xeon_e5_2680_server
 from repro.core.engine import Engine
-from repro.core.invariants import audit_collective, audit_run
+from repro.core.invariants import AuditReport, audit_collective, audit_run
 from repro.core.rng import RandomSource
-from repro.jobs.task import Job
 from repro.collective import TaskGroup, training_step_job
+from repro.experiments.common import Farm, build_farm, register_session_metrics
 from repro.network.packet import PacketNetwork
 from repro.network.topology import fat_tree
 from repro.runner import SweepOptions, SweepSpec, run_sweep
-from repro.scheduling.global_scheduler import GlobalScheduler
 from repro.scheduling.placement import GroupPlacementPolicy
 from repro.server.server import Server
-from repro.telemetry import session as telemetry
 
 #: Algorithms accepted by ``run_ai_training_point`` / the CLI sweep.
 ALGORITHMS = ("ring", "tree", "all_to_all")
@@ -63,12 +60,10 @@ class AiCluster:
     (:mod:`repro.parallel`) can build one identical cluster per partition.
     """
 
-    engine: Engine
+    farm: Farm
     topo: object
-    servers: List[Server]
     network: PacketNetwork
     placement: GroupPlacementPolicy
-    scheduler: GlobalScheduler
 
 
 def build_ai_cluster(
@@ -85,18 +80,11 @@ def build_ai_cluster(
     servers = [Server(engine, config, server_id=i) for i in range(topo.n_servers)]
     network = PacketNetwork(engine, topo, fast_path=True)
     placement = GroupPlacementPolicy(topo, ranks_per_server=ranks_per_server)
-    scheduler = GlobalScheduler(engine, servers, policy=placement, network=network)
-    ts = telemetry.ACTIVE
-    if ts is not None:
-        ts.attach_engine(engine)
-    return AiCluster(
-        engine=engine,
-        topo=topo,
-        servers=servers,
-        network=network,
-        placement=placement,
-        scheduler=scheduler,
+    farm = build_farm(
+        len(servers), config, engine=engine, servers=servers,
+        policy=placement, network=network,
     )
+    return AiCluster(farm=farm, topo=topo, network=network, placement=placement)
 
 
 @dataclass
@@ -131,49 +119,6 @@ class AiTrainingResult:
         )
 
 
-def _register_point_metrics(cluster: AiCluster, rng: RandomSource) -> None:
-    """Surface the cluster's counters in the active metrics registry."""
-    ts = telemetry.ACTIVE
-    if ts is None or ts.metrics is None:
-        return
-    from repro.experiments.common import Farm, register_farm_metrics
-
-    n_farms = getattr(ts.metrics, "_farms_registered", 0)
-    prefix = "" if n_farms == 0 else f"farm{n_farms}."
-    farm = Farm(
-        engine=cluster.engine,
-        servers=cluster.servers,
-        scheduler=cluster.scheduler,
-        rng=rng,
-    )
-    register_farm_metrics(ts.metrics, farm, network=cluster.network, prefix=prefix)
-    placement = cluster.placement
-    ts.metrics.register_counter(
-        f"{prefix}placement.groups_placed", lambda: placement.groups_placed
-    )
-    ts.metrics.register_counter(
-        f"{prefix}placement.cross_pod_spills", lambda: placement.cross_pod_spills
-    )
-    ts.metrics._farms_registered = n_farms + 1
-
-
-def _audit_point(cluster: AiCluster, jobs: Sequence[Job], audit: str,
-                 distinct_servers: bool) -> None:
-    if audit == "off":
-        return
-    for report in (
-        audit_run(cluster.engine, servers=cluster.servers, scheduler=cluster.scheduler),
-        audit_collective(
-            cluster.scheduler, cluster.network, jobs=jobs,
-            distinct_servers=distinct_servers,
-        ),
-    ):
-        if not report.ok:
-            if audit == "strict":
-                report.raise_if_violated()
-            print(f"[repro.invariants] {report.render()}", file=sys.stderr)
-
-
 def run_ai_training_point(
     algorithm: str = "ring",
     group_size: int = 8,
@@ -202,6 +147,7 @@ def run_ai_training_point(
         ranks_per_server=ranks_per_server,
         server_config=server_config,
     )
+    farm, scheduler = cluster.farm, cluster.farm.scheduler
     if phase_batch is None:
         phase_batch = default_phase_batch(group_size)
     rng = RandomSource(seed)
@@ -217,7 +163,6 @@ def run_ai_training_point(
         job_id=0,
         group=TaskGroup("train-0", group_size),
     )
-    scheduler = cluster.scheduler
     scheduler.submit_job(job)
     deadline_s = 4 * 3600.0
     while scheduler.jobs_completed < 1 and engine.now < deadline_s:
@@ -225,11 +170,16 @@ def run_ai_training_point(
             break
     duration = engine.now
 
-    _register_point_metrics(cluster, rng)
+    register_session_metrics(farm)
     distinct = ranks_per_server == 1 and group_size <= cluster.topo.n_servers
-    _audit_point(cluster, [job], audit, distinct)
+    AuditReport.enforce(audit, lambda: audit_run(
+        engine, servers=farm.servers, scheduler=scheduler
+    ))
+    AuditReport.enforce(audit, lambda: audit_collective(
+        scheduler, cluster.network, jobs=[job], distinct_servers=distinct
+    ))
 
-    server_energy = sum(s.total_energy_j(duration) for s in cluster.servers)
+    server_energy = sum(s.total_energy_j(duration) for s in farm.servers)
     network_energy = cluster.topo.network_energy_j(duration)
     latency = scheduler.job_latency.mean() if scheduler.jobs_completed else duration
     residency = (
@@ -358,21 +308,25 @@ def run_goal_replay(
         ranks_per_server=ranks_per_server,
         server_config=server_config,
     )
-    driver = GoalReplayDriver(engine, cluster.scheduler, [(0.0, trace)])
+    farm, scheduler = cluster.farm, cluster.farm.scheduler
+    driver = GoalReplayDriver(engine, scheduler, [(0.0, trace)])
     driver.start()
-    scheduler = cluster.scheduler
     deadline_s = 4 * 3600.0
     while scheduler.jobs_completed < 1 and engine.now < deadline_s:
         if not engine.step():
             break
     duration = engine.now
 
-    rng = RandomSource(seed)
-    _register_point_metrics(cluster, rng)
+    register_session_metrics(farm)
     distinct = ranks_per_server == 1 and trace.n_ranks <= cluster.topo.n_servers
-    _audit_point(cluster, driver.jobs, audit, distinct)
+    AuditReport.enforce(audit, lambda: audit_run(
+        engine, servers=farm.servers, scheduler=scheduler
+    ))
+    AuditReport.enforce(audit, lambda: audit_collective(
+        scheduler, cluster.network, jobs=driver.jobs, distinct_servers=distinct
+    ))
 
-    energy = sum(s.total_energy_j(duration) for s in cluster.servers)
+    energy = sum(s.total_energy_j(duration) for s in farm.servers)
     energy += cluster.topo.network_energy_j(duration)
     job = driver.jobs[0]
     makespan = (

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -16,9 +15,6 @@ from repro.server.server import Server
 from repro.telemetry import session as telemetry
 from repro.workload.arrivals import ArrivalProcess
 from repro.workload.driver import WorkloadDriver
-
-#: Valid values for the ``audit`` parameter of :func:`drive` / :func:`audit_farm`.
-AUDIT_MODES = ("off", "warn", "strict")
 
 
 @dataclass
@@ -97,14 +93,14 @@ def register_farm_metrics(
     farm: Farm,
     driver: Optional[WorkloadDriver] = None,
     network=None,
-    injector=None,
     prefix: str = "",
 ) -> None:
     """Register a farm's scattered ad-hoc stats into one metrics registry.
 
     Sources are read lazily at snapshot time, so call this whenever — before,
-    during, or after the run.  ``network``/``injector`` are optional extras
-    for experiments that wire those subsystems in; ``prefix`` namespaces the
+    during, or after the run.  ``network`` is an optional extra for
+    experiments that wire one in, and a group-placement policy's counters
+    are registered when the scheduler has one; ``prefix`` namespaces the
     metrics when one session runs several farms.
     """
     engine, sched = farm.engine, farm.scheduler
@@ -157,8 +153,30 @@ def register_farm_metrics(
             collector = getattr(network, name, None)
             if collector is not None:
                 registry.register_histogram(f"{prefix}network.{name}", collector)
-    if injector is not None:
-        injector.register_metrics(registry, prefix=f"{prefix}faults")
+    policy = sched.policy
+    for name in ("groups_placed", "cross_pod_spills"):
+        if hasattr(policy, name):
+            registry.register_counter(
+                f"{prefix}placement.{name}", (lambda p=policy, a=name: getattr(p, a))
+            )
+
+
+def register_session_metrics(farm: Farm, driver: Optional[WorkloadDriver] = None) -> None:
+    """Register a finished run's farm in the active telemetry session.
+
+    The other half of the session lifecycle: :func:`build_farm` attaches the
+    engine to the session's profiler.  One session may run several farms
+    (e.g. the joint comparison); later farms get a numbered prefix instead
+    of colliding on names.  A no-op unless the session collects metrics.
+    """
+    ts = telemetry.ACTIVE
+    if ts is None or ts.metrics is None:
+        return
+    n = ts.metrics.next_instance("farm")
+    register_farm_metrics(
+        ts.metrics, farm, driver=driver, network=farm.scheduler.network,
+        prefix=f"farm{n}." if n else "",
+    )
 
 
 def audit_farm(
@@ -170,28 +188,17 @@ def audit_farm(
 ) -> Optional[AuditReport]:
     """Run conservation audits over a farm after its simulation ended.
 
-    ``audit`` selects the reaction to violations: ``"off"`` skips the audit
-    entirely, ``"warn"`` prints the report to stderr and carries on, and
-    ``"strict"`` raises :class:`~repro.core.invariants.InvariantError` so a
-    sweep point fails instead of journaling a corrupt result.
+    ``audit`` selects the reaction to violations; see
+    :meth:`~repro.core.invariants.AuditReport.enforce`.
     """
-    if audit not in AUDIT_MODES:
-        raise ValueError(f"audit mode {audit!r} not in {AUDIT_MODES}")
-    if audit == "off":
-        return None
-    report = audit_run(
+    return AuditReport.enforce(audit, lambda: audit_run(
         farm.engine,
         servers=farm.servers,
         scheduler=farm.scheduler,
         driver=driver,
         availability=availability,
         facility=facility,
-    )
-    if not report.ok:
-        if audit == "strict":
-            report.raise_if_violated()
-        print(f"[repro.invariants] {report.render()}", file=sys.stderr)
-    return report
+    ))
 
 
 def drive(
@@ -224,15 +231,6 @@ def drive(
         while farm.scheduler.active_jobs > 0:
             if not farm.engine.step():
                 break
-    ts = telemetry.ACTIVE
-    if ts is not None and ts.metrics is not None:
-        # One session may drive several farms (e.g. the joint comparison);
-        # later farms get a numbered prefix instead of colliding on names.
-        n_farms = getattr(ts.metrics, "_farms_registered", 0)
-        register_farm_metrics(
-            ts.metrics, farm, driver=driver, network=farm.scheduler.network,
-            prefix="" if n_farms == 0 else f"farm{n_farms}.",
-        )
-        ts.metrics._farms_registered = n_farms + 1
+    register_session_metrics(farm, driver)
     audit_farm(farm, driver=driver, audit=audit)
     return driver

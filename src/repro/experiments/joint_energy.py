@@ -17,17 +17,17 @@ with negligible latency increase.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import LinkConfig, ServerConfig, xeon_e5_2680_server
 from repro.core.engine import Engine
-from repro.core.invariants import audit_run as audit_invariants
+from repro.core.invariants import AuditReport, audit_run
 from repro.core.rng import RandomSource
 from repro.core.stats import CdfResult
+from repro.experiments.common import Farm, build_farm, register_session_metrics
 from repro.jobs.task import Job
 from repro.jobs.templates import pipeline_job
 from repro.network.flow import FlowNetwork
@@ -35,7 +35,6 @@ from repro.network.routing import Router
 from repro.network.topology import fat_tree
 from repro.power.joint import JointEnergyManager
 from repro.runner import SweepOptions, SweepSpec, run_sweep
-from repro.scheduling.global_scheduler import GlobalScheduler
 from repro.server.server import Server
 from repro.workload.arrivals import PoissonProcess
 from repro.workload.driver import WorkloadDriver
@@ -110,13 +109,11 @@ class JointCluster:
     the sharded joint scenario is a multi-cluster scale-out of this unit.
     """
 
-    engine: Engine
+    farm: Farm
     topo: object
-    servers: List[Server]
     router: Router
     network: FlowNetwork
     manager: JointEnergyManager
-    scheduler: GlobalScheduler
 
 
 def build_joint_cluster(
@@ -144,21 +141,17 @@ def build_joint_cluster(
         tau_s=tau_s,
         switch_idle_threshold_s=switch_idle_threshold_s,
     )
-    scheduler = GlobalScheduler(
-        engine,
-        servers,
+    farm = build_farm(
+        len(servers),
+        config,
+        engine=engine,
+        servers=servers,
         policy=manager.make_policy(),
         network=network,
         eligible_provider=manager.eligible_servers,
     )
     return JointCluster(
-        engine=engine,
-        topo=topo,
-        servers=servers,
-        router=router,
-        network=network,
-        manager=manager,
-        scheduler=scheduler,
+        farm=farm, topo=topo, router=router, network=network, manager=manager
     )
 
 
@@ -188,9 +181,9 @@ def run_joint_point(
         switch_idle_threshold_s=switch_idle_threshold_s,
         server_config=server_config,
     )
-    topo, servers = cluster.topo, cluster.servers
+    topo, servers = cluster.topo, cluster.farm.servers
     n_servers = topo.n_servers
-    manager, scheduler = cluster.manager, cluster.scheduler
+    manager, scheduler = cluster.manager, cluster.farm.scheduler
     manager.start()
 
     rng = RandomSource(seed)
@@ -208,15 +201,11 @@ def run_joint_point(
             break
     duration = engine.now
 
-    # This experiment bypasses drive(), so run the conservation audit here.
-    if audit != "off":
-        report = audit_invariants(
-            engine, servers=servers, scheduler=scheduler, driver=driver, now=duration
-        )
-        if not report.ok:
-            if audit == "strict":
-                report.raise_if_violated()
-            print(f"[repro.invariants] {report.render()}", file=sys.stderr)
+    # This experiment bypasses drive(), so close the run out here.
+    register_session_metrics(cluster.farm, driver)
+    AuditReport.enforce(audit, lambda: audit_run(
+        engine, servers=servers, scheduler=scheduler, driver=driver, now=duration
+    ))
 
     server_energy = sum(s.total_energy_j(duration) for s in servers)
     network_energy = topo.network_energy_j(duration)

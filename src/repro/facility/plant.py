@@ -171,8 +171,7 @@ class Facility:
 
         When a telemetry session is active, the facility registers its
         metrics into the session registry under the ``facility.*`` namespace
-        (numbered on collision, mirroring the farm registration in
-        :func:`repro.experiments.common.drive`).
+        (``facility1.*`` and so on for later facilities in the session).
         """
         if self._running:
             return
@@ -180,10 +179,8 @@ class Facility:
         self._until = until
         ts = telemetry.ACTIVE
         if ts is not None and ts.metrics is not None:
-            n = getattr(ts.metrics, "_facilities_registered", 0)
-            prefix = "facility." if n == 0 else f"facility{n}."
-            self.register_metrics(ts.metrics, prefix=prefix)
-            ts.metrics._facilities_registered = n + 1
+            n = ts.metrics.next_instance("facility")
+            self.register_metrics(ts.metrics, prefix=f"facility{n or ''}.")
         self._declare(self.engine.now)
         self._schedule_next()
 

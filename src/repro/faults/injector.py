@@ -86,10 +86,19 @@ class FaultInjector:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Arm the fault processes; a no-op when the config is disabled."""
+        """Arm the fault processes; a no-op when the config is disabled.
+
+        When a telemetry session is active, the injector registers its
+        metrics into the session registry under ``faults.*`` (``faults1.*``
+        and so on for later injectors in the session).
+        """
         if not self.config.enabled or self._started:
             return
         self._started = True
+        ts = telemetry.ACTIVE
+        if ts is not None and ts.metrics is not None:
+            n = ts.metrics.next_instance("faults")
+            self.register_metrics(ts.metrics, prefix=f"faults{n or ''}")
         cfg = self.config
         if cfg.server_mtbf_s > 0:
             model = self._make_model(cfg.server_mtbf_s, cfg.server_mttr_s)

@@ -66,7 +66,9 @@ from repro.checkpoint import (
     write_checkpoint,
 )
 from repro.core.engine import Engine
-from repro.core.invariants import audit_parallel, audit_run
+from repro.core.invariants import (
+    AuditReport, audit_parallel, audit_run, check_audit_mode,
+)
 from repro.network.boundary import BoundaryLink, derive_lookahead, full_mesh
 from repro.parallel.merge import MergedStats, merge_snapshots
 from repro.parallel.protocol import (
@@ -217,19 +219,13 @@ def _lookahead(spec: ShardSpec, links) -> float:
 
 
 def _audit_partition(part, t_end: float, audit: str) -> None:
-    if audit == "off":
-        return
-    report = audit_run(
+    AuditReport.enforce(audit, lambda: audit_run(
         part.engine,
         servers=part.servers,
         scheduler=part.scheduler,
         now=t_end,
         **part.audit_kwargs(),
-    )
-    if not report.ok:
-        if audit == "strict":
-            report.raise_if_violated()
-        print(f"[repro.invariants] {report.render()}", file=sys.stderr)
+    ))
 
 
 def _route(msg: Message, edge: int, ledger: InFlightLedger, links) -> None:
@@ -864,6 +860,8 @@ def run_sharded(
     checkpoint/restore and self-healing (see :class:`DurabilityOptions`) —
     restored runs are bit-identical to uninterrupted ones.
     """
+    # Fail before spawning workers, not in every worker after its run.
+    check_audit_mode(spec.audit)
     plan = spec.plan(n_workers=shards)
     lock: Optional[FileLock] = None
     if durability is not None and durability.checkpoint_path:
@@ -887,12 +885,9 @@ def run_sharded(
     wall = time.perf_counter() - start
 
     merged = merge_snapshots(spec.name, snapshots, events, t_end, windows)
-    if spec.audit != "off":
-        report = audit_parallel(snapshots, spec.window_s, t_end)
-        if not report.ok:
-            if spec.audit == "strict":
-                report.raise_if_violated()
-            print(f"[repro.invariants] {report.render()}", file=sys.stderr)
+    AuditReport.enforce(
+        spec.audit, lambda: audit_parallel(snapshots, spec.window_s, t_end)
+    )
     return ShardRunResult(
         spec=spec,
         shards=shards,

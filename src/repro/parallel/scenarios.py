@@ -505,8 +505,8 @@ class JointPartition(PartitionModel):
             switch_idle_threshold_s=spec.switch_idle_threshold_s,
         )
         self.cluster = cluster
-        self.servers = cluster.servers
-        self.scheduler = cluster.scheduler
+        self.servers = cluster.farm.servers
+        self.scheduler = cluster.farm.scheduler
         # Stage draws take the front end's rng, not the factory's.
         self.jobs = _DagJobFactory(None)
 
@@ -583,8 +583,8 @@ class AiPartition(PartitionModel):
             link_rate_bps=spec.link_rate_bps,
         )
         self.cluster = cluster
-        self.servers = cluster.servers
-        self.scheduler = cluster.scheduler
+        self.servers = cluster.farm.servers
+        self.scheduler = cluster.farm.scheduler
 
     def arrival_rate(self) -> float:
         # One training job roughly every job-length of compute; the exact

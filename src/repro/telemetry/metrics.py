@@ -35,6 +35,7 @@ class MetricsRegistry:
         self._gauges: Dict[str, Callable[[], Number]] = {}
         self._histograms: Dict[str, LatencyCollector] = {}
         self._series: Dict[str, TimeSeries] = {}
+        self._instances: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Registration
@@ -48,6 +49,17 @@ class MetricsRegistry:
         ):
             if name in table:
                 raise ValueError(f"metric {name!r} already registered as a {kind}")
+
+    def next_instance(self, kind: str) -> int:
+        """Number the next registrant of ``kind``: 0 for the first, then 1, 2...
+
+        One session may run several farms (the joint comparison), facilities
+        or fault injectors; later ones prefix their names with the number
+        instead of colliding on the first one's names.
+        """
+        n = self._instances.get(kind, 0)
+        self._instances[kind] = n + 1
+        return n
 
     def register_counter(self, name: str, source: Source) -> None:
         """A monotonically increasing count (value or no-arg callable)."""

@@ -340,6 +340,18 @@ class TestRunControl:
         assert seen == [1, 2, 3, 4]
         assert engine.now == 4.0
 
+    def test_step_after_stop_runs_next_event(self, engine):
+        # stop() ends run(), not step(): a step still executes one event.
+        seen = []
+        engine.schedule(1.0, lambda: (seen.append(1), engine.stop()))
+        engine.schedule(2.0, seen.append, 2)
+        engine.schedule(3.0, seen.append, 3)
+        engine.run()
+        assert seen == [1]
+        assert engine.step() is True
+        assert seen == [1, 2]
+        assert engine.now == 2.0
+
     def test_run_not_reentrant(self, engine):
         def nested():
             engine.run()
@@ -466,6 +478,24 @@ class TestDispatchHook:
     def test_non_callable_hook_rejected(self):
         with pytest.raises(TypeError):
             Engine().set_dispatch_hook("not-a-hook")
+
+    @pytest.mark.parametrize("max_events", [0, 3, 5])
+    def test_max_events_with_hook_raises_as_without(self, max_events):
+        def outcome(hook):
+            engine = Engine()
+            engine.set_dispatch_hook(hook)
+            fired = []
+            for i in range(5):
+                engine.post(float(i), fired.append, i)
+            try:
+                engine.run(max_events=max_events)
+            except SimulationError as err:
+                return str(err), fired, engine.events_executed
+            return None, fired, engine.events_executed
+
+        plain = outcome(None)
+        assert (plain[0] is None) == (max_events == 5)
+        assert outcome(lambda t, cb, a: cb(*a)) == plain
 
     def test_hooked_run_matches_fast_run(self):
         def workload(engine):

@@ -114,6 +114,40 @@ class TestCleanRun:
             audit_farm(farm, audit="loud")
 
 
+def _ai_point(audit):
+    from repro.experiments.ai_training import run_ai_training_point
+
+    run_ai_training_point(group_size=4, n_steps=1, compute_s=0.002,
+                          size_bytes=40_000, audit=audit)
+
+
+def _joint_point(audit):
+    from repro.experiments.joint_energy import run_joint_point
+
+    run_joint_point("network-aware", 0.3, n_jobs=5, transfer_bytes=1e6, audit=audit)
+
+
+def _scalability(audit):
+    from repro.experiments.scalability import run_scalability
+
+    run_scalability(n_servers=8, n_jobs=20, audit=audit)
+
+
+def _sharded(audit):
+    from repro.parallel import ScalabilitySpec, run_sharded
+
+    run_sharded(ScalabilitySpec(n_servers=32, n_jobs=50, audit=audit), shards=1)
+
+
+@pytest.mark.parametrize(
+    "run", [_ai_point, _joint_point, _scalability, _sharded],
+    ids=["ai-training", "joint", "scalability", "sharded"],
+)
+def test_misspelled_audit_mode_is_rejected(run):
+    with pytest.raises(ValueError, match="audit mode 'strcit'"):
+        run("strcit")
+
+
 class TestBrokenCounters:
     """An intentionally corrupted simulation must fail the audit, loudly."""
 

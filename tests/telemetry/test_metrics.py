@@ -120,17 +120,12 @@ class TestFarmMetricsSurface:
         # Satellite of the collective PR: stranded transfers and scheduler
         # drop notifications must be first-class metrics, not buried fields.
         from repro.experiments.ai_training import build_ai_cluster
-        from repro.experiments.common import Farm, register_farm_metrics
+        from repro.experiments.common import register_farm_metrics
         from repro.core.engine import Engine
 
-        engine = Engine()
-        cluster = build_ai_cluster(engine, k=4)
-        farm = Farm(
-            engine=engine, servers=cluster.servers,
-            scheduler=cluster.scheduler, rng=None,
-        )
+        cluster = build_ai_cluster(Engine(), k=4)
         reg = MetricsRegistry()
-        register_farm_metrics(reg, farm, network=cluster.network)
+        register_farm_metrics(reg, cluster.farm, network=cluster.network)
         counters = reg.snapshot()["counters"]
         assert counters["network.transfers_stranded"] == 0
         assert counters["scheduler.transfers_dropped"] == 0

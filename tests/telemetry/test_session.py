@@ -122,6 +122,39 @@ class TestFarmIntegration:
             _run_small_farm()
         assert {ev[1] for ev in sess.recorder.events} == {"power"}
 
+    def test_joint_point_registers_metrics(self):
+        from repro.experiments.joint_energy import run_joint_point
+
+        with telemetry.session(trace=False) as sess:
+            results = [
+                run_joint_point(mode, 0.3, n_jobs=10, transfer_bytes=1e6)
+                for mode in ("balanced", "network-aware")
+            ]
+        counters = sess.metrics.snapshot()["counters"]
+        # The second farm in one session takes a numbered prefix.
+        for prefix, result in zip(("", "farm1."), results):
+            assert result.jobs_completed > 0
+            assert counters[f"{prefix}scheduler.jobs_completed"] == result.jobs_completed
+            assert counters[f"{prefix}workload.jobs_injected"] == 10
+
+    def test_joint_point_is_profiled(self):
+        from repro.experiments.joint_energy import run_joint_point
+
+        with telemetry.session(trace=False, metrics=False, profile=True) as sess:
+            run_joint_point("network-aware", 0.3, n_jobs=10, transfer_bytes=1e6)
+        assert sess.profiler.summary()["events"] > 0
+
+    def test_ai_point_registers_placement_metrics(self):
+        from repro.experiments.ai_training import run_ai_training_point
+
+        with telemetry.session(trace=False) as sess:
+            run_ai_training_point(group_size=4, n_steps=1, compute_s=0.002,
+                                  size_bytes=40_000)
+        counters = sess.metrics.snapshot()["counters"]
+        assert counters["placement.groups_placed"] == 1
+        assert counters["placement.cross_pod_spills"] == 0
+        assert counters["scheduler.jobs_completed"] == 1
+
     def test_profiler_attached_by_build_farm(self):
         with telemetry.session(profile=True) as sess:
             _run_small_farm()

@@ -383,6 +383,17 @@ class TestObservabilityExecution:
         assert rows[0] == ["label", "kind", "metric", "value"]
         assert len(rows) > 1
 
+    def test_faults_metrics_include_injector_counters(self, capsys, tmp_path):
+        import json
+
+        path = tmp_path / "faults.json"
+        main(["faults", "--servers", "8", "--duration", "5", "--mtbfs", "30",
+              "--metrics", str(path)])
+        capsys.readouterr()
+        points = json.loads(path.read_text())["points"]
+        assert points
+        assert all("faults.failures_injected" in p["counters"] for p in points)
+
     def test_profile_prints_hot_handler_table(self, capsys):
         main(self._TINY + ["--profile"])
         out = capsys.readouterr().out

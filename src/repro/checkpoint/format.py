@@ -3,13 +3,13 @@
 A checkpoint file is one JSON header line followed by raw pickle bytes:
 
 * the **header** carries the format ``kind``/``version``, the scenario's
-  config fingerprint, the execution mode (``"inline"`` or ``"sharded"``),
-  the barrier edge and simulated time of the cut, and a blake2b digest +
-  length of the payload — everything needed to refuse a bad restore
-  *before* unpickling anything;
-* the **payload** is the pickled simulation world (engines, servers, RNG
-  streams, in-flight flows, scheduler/facility/fault state) captured at a
-  window barrier, where no boundary message is in flight inside a worker.
+  config fingerprint, the shard count, the barrier edge and simulated time
+  of the cut, and a blake2b digest + length of the payload — everything
+  needed to refuse a bad restore *before* unpickling anything;
+* the **payload** holds one pickled worker per shard (engines, servers, RNG
+  streams, in-flight flows, scheduler/facility/fault state) plus the
+  coordinator's state, captured at a window barrier, where no boundary
+  message is in flight inside a worker.
 
 Writes are atomic (tmp file + fsync + ``os.replace`` + directory fsync), so
 a crash mid-checkpoint leaves the previous checkpoint intact — the file on
@@ -40,8 +40,9 @@ CHECKPOINT_KIND = "repro-checkpoint"
 #: refuses a foreign version rather than mis-deserializing it.  Version 2
 #: dropped the pooled idle-server path: version-1 payloads pickle pool
 #: cohorts and a scenario spec with a ``pool`` field.  Version 3 replaced the
-#: one flat scenario spec with a spec class per scenario.
-CHECKPOINT_VERSION = 3
+#: one flat scenario spec with a spec class per scenario.  Version 4 dropped
+#: the header's ``mode`` field: every shard count writes worker blobs.
+CHECKPOINT_VERSION = 4
 
 #: Spec fields that do not shape the simulated world (see module docstring).
 _FINGERPRINT_EXCLUDED_FIELDS = ("chaos", "audit")
@@ -75,7 +76,7 @@ def scenario_fingerprint(spec: Any) -> str:
 def write_checkpoint(path: str, payload: bytes, meta: Dict[str, Any]) -> None:
     """Atomically write ``payload`` with ``meta`` merged into the header.
 
-    The caller provides the run-level metadata (``fingerprint``, ``mode``,
+    The caller provides the run-level metadata (``fingerprint``,
     ``shards``, ``edge``, ``sim_time``, ``scenario``); this function adds the
     format fields and the payload digest.  On return the bytes are durable:
     the temp file is fsync'd before the rename and the directory after it.
@@ -160,12 +161,12 @@ def read_checkpoint(path: str) -> Tuple[Dict[str, Any], bytes]:
 def check_restorable(
     header: Dict[str, Any], spec: Any, shards: int, path: str
 ) -> None:
-    """Refuse to restore ``header`` into a mismatched scenario or mode.
+    """Refuse to restore ``header`` into a mismatched scenario or shard count.
 
     The fingerprint check is the safety property — restoring into a
     different world would not fail loudly on its own, it would just produce
-    wrong numbers.  The mode/shard check exists because inline and sharded
-    payloads have different shapes.
+    wrong numbers.  The shard check exists because the payload holds one
+    blob per worker.
     """
     expected = scenario_fingerprint(spec)
     found = header.get("fingerprint")
@@ -177,14 +178,7 @@ def check_restorable(
             "restore refused — run the checkpointed scenario with identical "
             "parameters"
         )
-    mode = "inline" if shards == 1 else "sharded"
-    if header.get("mode") != mode:
-        raise CheckpointError(
-            f"checkpoint {path!r} holds a {header.get('mode')} cut but this "
-            f"run is {mode} (shards={shards}); rerun with --shards "
-            f"{header.get('shards')}"
-        )
-    if mode == "sharded" and header.get("shards") != shards:
+    if header.get("shards") != shards:
         raise CheckpointError(
             f"checkpoint {path!r} was taken with --shards {header.get('shards')} "
             f"but this run asked for --shards {shards}; worker-local engine "

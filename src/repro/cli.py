@@ -19,7 +19,8 @@ the paper's figure reports::
 ``--shards N`` (on ``scalability``, ``joint``, ``faults``,
 ``facility-carbon`` and ``ai-training``) runs the conservative time-window
 shard engine (:mod:`repro.parallel`): the farm is split into
-``--partitions`` model partitions packed onto ``N`` worker processes, and
+``--partitions`` model partitions packed onto ``N`` workers (``1`` runs
+them in this process, more spawns one process per worker), and
 the merged report is bit-identical for every shard count — only wall-clock
 changes.  The subcommand's model flags configure the sharded scenario; a
 swept flag contributes its first value.  The ``merged ...`` lines it prints
@@ -713,7 +714,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-jobs", type=int, default=2000,
                    help="simulated jobs per grid point")
     p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="run the shard engine on N worker processes instead "
+                   help="run the shard engine on N workers (1 = in this "
+                        "process) instead "
                         "of the Fig. 11 comparison (first --utilizations "
                         "value, network-aware mode); results are "
                         "bit-identical across N")
@@ -754,7 +756,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="count jobs slower than this latency (s) as SLO violations")
     p.add_argument("--shards", type=int, default=None, metavar="N",
                    help="run the fault-injection reference scenario on the "
-                        "shard engine with N worker processes instead of the "
+                        "shard engine with N workers (1 = in this process) "
+                        "instead of the "
                         "MTBF sweep (first --mtbfs value); merged results are "
                         "bit-identical across N")
     p.add_argument("--partitions", type=int, default=4, metavar="P",
@@ -787,7 +790,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="zone temperature (°C) at which DVFS throttling engages")
     p.add_argument("--shards", type=int, default=None, metavar="N",
                    help="run the facility reference scenario on the shard "
-                        "engine with N worker processes instead of the "
+                        "engine with N workers (1 = in this process) instead "
+                        "of the "
                         "setpoint × carbon sweep (first --setpoints and "
                         "--carbon values); merged results are bit-identical "
                         "across N")
@@ -832,7 +836,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "--group-sizes value) to PATH and exit")
     p.add_argument("--shards", type=int, default=None, metavar="N",
                    help="run the training reference scenario on the shard "
-                        "engine with N worker processes (first "
+                        "engine with N workers (1 = in this process; first "
                         "--group-sizes / --algorithms values); merged "
                         "results are bit-identical across N")
     p.add_argument("--partitions", type=int, default=2, metavar="P",
@@ -850,7 +854,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep several farm sizes instead of a single run")
     p.add_argument("--shards", type=int, default=None, metavar="N",
                    help="run the conservative-window shard engine on N "
-                        "worker processes (1 = inline serial reference); "
+                        "workers (1 = in this process, more = one spawned "
+                        "process each, same window loop); "
                         "merged results are bit-identical across N")
     p.add_argument("--partitions", type=int, default=4, metavar="P",
                    help="model partitions for --shards (part of the "

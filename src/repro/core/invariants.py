@@ -495,9 +495,9 @@ def audit_parallel(snapshots: Sequence[dict], window_s: float, t_end: float) -> 
     home as a plain dict; this audit closes the loop across partitions: every
     boundary message sent was received, every dispatched job was submitted
     somewhere, every job was acknowledged back, nothing is still in flight,
-    and the run stopped on a window edge.  It runs in the coordinator (or the
-    inline loop) after the merge, complementing the per-partition
-    :func:`audit_run` each worker performs before shipping its snapshot.
+    and the run stopped on a window edge.  It runs after the merge, for every
+    shard count, complementing the per-partition :func:`audit_run` each
+    worker performs before shipping its snapshot.
     """
     report = AuditReport()
     by_pid = {snap["pid"]: snap for snap in snapshots}

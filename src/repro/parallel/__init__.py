@@ -1,10 +1,10 @@
 """Sharded farm engine: conservative time-window parallelism in one run.
 
-Partition the farm into ``P`` model partitions, pack them onto ``N`` worker
-processes, advance each worker's engine in lock-step windows, and exchange
-boundary events at window barriers — with merged results bit-identical to
-the inline serial execution.  See DESIGN.md ("Conservative-window sharding")
-for the protocol derivation.
+Partition the farm into ``P`` model partitions, pack them onto ``N`` workers,
+advance each worker's engine in lock-step windows, and exchange
+boundary events at window barriers — with merged results bit-identical for
+every worker count, one worker (in this process) included.  See DESIGN.md
+("Conservative-window sharding") for the protocol derivation.
 """
 
 from repro.parallel.merge import MergedStats, merge_snapshots

@@ -32,7 +32,7 @@ _MEAN_KEYS = {"availability", "facility_mean_pue"}
 
 @dataclass
 class MergedStats:
-    """Shard-count-independent summary of one sharded (or serial) run."""
+    """Shard-count-independent summary of one :func:`run_sharded` run."""
 
     scenario: str
     n_partitions: int
@@ -95,9 +95,9 @@ def merge_snapshots(
 ) -> MergedStats:
     """Fold per-partition snapshots (in pid order) into one MergedStats.
 
-    ``engine_events`` carries one ``events_executed`` total per engine —
-    a single entry for the inline serial path, one per worker when sharded;
-    the sum is mode-independent because both modes execute the same events.
+    ``engine_events`` carries one ``events_executed`` total per worker
+    engine; the sum is shard-count-independent because every shard count
+    executes the same events.
     """
     snapshots = sorted(snapshots, key=lambda s: s["pid"])
     if [s["pid"] for s in snapshots] != list(range(len(snapshots))):

@@ -12,10 +12,11 @@ direct call before any event at time ``>= k*W`` runs — so no partition ever
 observes an event in its past, and the delivered timestamp is bit-identical
 no matter how partitions are packed onto worker processes.
 
-Everything here is *shared* between the inline serial path and the
-multi-process coordinator: both use the same endpoint bookkeeping, the same
-in-flight ledger, and the same barrier state machine, which is what makes
-the two modes take identical decisions at identical edges.
+The runtime's one coordinator loop drives these primitives for every shard
+count — the same endpoint bookkeeping, in-flight ledger and barrier state
+machine whether the partitions share one in-process engine or are spread
+over worker processes — so every shard count takes identical decisions at
+identical edges.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ def delivery_edge_index(t: float, lookahead_s: float, window_s: float) -> int:
 
     A send exactly on edge ``w`` (``t == w * W`` with ``L == W``) lands on
     edge ``w + 1``; a send strictly inside window ``w`` lands on ``w + 2``.
-    Both modes compute this with the same float expression, so due edges are
-    bit-identical by construction.
+    Every endpoint computes this with the same float expression, so due edges
+    are bit-identical by construction.
     """
     if window_s <= 0:
         raise ProtocolError(f"window must be positive, got {window_s}")
@@ -91,7 +92,7 @@ class ShardEndpoint:
     pre-sorted per edge and are applied in ``(src_pid, src_seq)`` order.
     Every send/recv appends a journal entry ``(time, pid, seq, op, data)``
     that the merge layer reassembles in ``(time, pid, seq)`` order and
-    fingerprints — the bit-identity witness for sharded vs serial runs.
+    fingerprints — the bit-identity witness across shard counts.
     """
 
     def __init__(self, pid: int, window_s: float, lookahead_s: float):
@@ -165,8 +166,9 @@ class InFlightLedger:
 
     The barrier controller must only start draining when *nothing* is in
     flight; otherwise a job or ack delivered two edges later would arrive at
-    a quiesced partition.  Both execution modes feed the same ledger from the
-    same routing step, so the drain decision lands on the same edge.
+    a quiesced partition.  The coordinator feeds it from its one routing
+    step, so the drain decision lands on the same edge for every shard
+    count.
     """
 
     def __init__(self) -> None:

@@ -1,51 +1,60 @@
-"""Sharded execution: inline serial reference and multi-process coordinator.
+"""Sharded execution: one coordinator window loop for every shard count.
 
-Both modes run the *same* window loop over the same partition models:
+The coordinator (:class:`_Coordinator`) drives a list of worker handles.
+Each handle fronts one :class:`_ShardWorker` — an engine plus the
+partition models packed onto it:
 
-1. advance every partition's engine to the window edge
+* :class:`_InlineHandle` (``shards=1``) holds every partition on one engine
+  in this process;
+* :class:`_ProcessHandle` (``shards>1``) is one spawned worker behind a
+  pipe.
+
+Every shard count runs the same loop at each window edge:
+
+1. advance every worker's engine to the edge
    (:meth:`~repro.core.engine.Engine.run_until`, exclusive horizon — the
    clock lands exactly on the edge);
 2. collect outboxes and compute drain-readiness (readiness is evaluated
-   **before** this edge's deliveries in both modes);
-3. route boundary messages to their due edges (shared
-   :class:`~repro.parallel.protocol.InFlightLedger` bookkeeping);
-4. apply this edge's deliveries in ``(src_pid, src_seq)`` order as direct
-   calls at the edge timestamp;
+   **before** this edge's deliveries);
+3. route boundary messages into the
+   :class:`~repro.parallel.protocol.InFlightLedger` and a pending map keyed
+   by due edge;
+4. hand each worker the messages due at this edge, applied in
+   ``(src_pid, src_seq)`` order as direct calls at the edge timestamp;
 5. take the barrier decision
    (:class:`~repro.parallel.protocol.BarrierController`): quiesce periodic
    controllers when everything is ready and nothing is in flight, then stop
    unconditionally after a fixed drain-window count at a canonical ``T_end``.
 
-Because every decision input is identical in both modes, the two executions
-take the same actions at the same edges and per-partition event streams are
-bit-identical — verified by the determinism tests via the merged journal
-fingerprint.
+Because every decision input is a pure function of the model, runs take
+the same actions at the same edges whatever the shard count, and
+per-partition event streams are bit-identical — verified by the
+determinism tests via the merged journal fingerprint.
 
 Worker crashes never hang the barrier: pipe waits are bounded by
 ``barrier_timeout_s`` and a dead or wedged shard surfaces as a structured
-:class:`ShardCrashError` naming the shard and window (the PR-4 sweep
-supervisor's broken-pool pattern, applied to barrier synchronization).
+:class:`ShardCrashError` naming the shard and window.  At ``shards=1`` there
+is no pipe and no chaos hook, and a partition exception propagates raw.
 
 Durability (:class:`DurabilityOptions`, backed by :mod:`repro.checkpoint`)
 adds three behaviors on top of that loop:
 
-* **checkpoint** — at a window barrier the whole simulation world is pickled
-  as one object graph and written atomically with a config fingerprint.
-  A barrier is a naturally consistent cut: inside a worker no boundary
-  message is in flight (undelivered messages sit either in endpoint inboxes
-  or in the coordinator's pending map, both of which are captured);
+* **checkpoint** — at a window barrier every worker is pickled and written
+  atomically, with the coordinator state and a config fingerprint, as one
+  :class:`_BarrierSnapshot`.  A barrier is a naturally consistent cut:
+  inside a worker no boundary message is in flight (undelivered messages
+  wait in the coordinator's pending map, which is captured);
 * **restore** — a run started with ``restore_from`` adopts the checkpointed
-  world and continues; the merged result is bit-identical to the
-  uninterrupted run because the endpoint journals ride inside the world;
-* **self-heal** — when a shard dies (:class:`ShardCrashError`) or fails
-  (:class:`ShardError`) and a retry budget is configured, every worker is
-  killed, respawned from the last in-memory barrier snapshot, and the
+  workers and continues; the merged result is bit-identical to the
+  uninterrupted run because the endpoint journals ride inside the workers;
+* **self-heal** — when a spawned shard dies (:class:`ShardCrashError`) or
+  fails (:class:`ShardError`) and a retry budget is configured, every worker
+  is killed, respawned from the last in-memory barrier snapshot, and the
   coordinator rolls its own ledger/barrier/pending state back to the same
   edge — bounded by exponential backoff before the original structured
   error surfaces.  Chaos injections at or before the crashed window are
   disarmed on respawn, so an injected fault behaves like a transient one.
 """
-
 from __future__ import annotations
 
 import os
@@ -56,7 +65,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.checkpoint import (
     FileLock,
@@ -183,7 +192,7 @@ class DurabilityOptions:
 
 @dataclass
 class ShardRunResult:
-    """Outcome of one sharded (or inline-serial) scenario execution."""
+    """Outcome of one scenario execution through :func:`run_sharded`."""
 
     spec: ShardSpec
     shards: int
@@ -209,23 +218,6 @@ class ShardRunResult:
 # ----------------------------------------------------------------------
 def _boundary_links(spec: ShardSpec) -> Dict[Tuple[int, int], BoundaryLink]:
     return full_mesh(spec.n_partitions, spec.boundary_latency_s)
-
-
-def _lookahead(spec: ShardSpec, links) -> float:
-    derived = derive_lookahead(links.values())
-    if derived == float("inf"):  # single partition: no boundary constraint
-        return spec.boundary_latency_s
-    return derived
-
-
-def _audit_partition(part, t_end: float, audit: str) -> None:
-    AuditReport.enforce(audit, lambda: audit_run(
-        part.engine,
-        servers=part.servers,
-        scheduler=part.scheduler,
-        now=t_end,
-        **part.audit_kwargs(),
-    ))
 
 
 def _route(msg: Message, edge: int, ledger: InFlightLedger, links) -> None:
@@ -286,24 +278,12 @@ def _checkpoint_meta(spec: ShardSpec, shards: int, edge: int) -> Dict[str, objec
     return {
         "scenario": spec.name,
         "fingerprint": scenario_fingerprint(spec),
-        "mode": "inline" if shards == 1 else "sharded",
         "shards": shards,
         "n_partitions": spec.n_partitions,
         "edge": edge,
         "sim_time": edge * spec.window_s,
         "window_s": spec.window_s,
     }
-
-
-def _load_restore(
-    spec: ShardSpec, durability: Optional[DurabilityOptions], shards: int
-):
-    """Verified ``(header, payload_object)`` from ``restore_from``, or None."""
-    if durability is None or not durability.restore_from:
-        return None
-    header, payload = read_checkpoint(durability.restore_from)
-    check_restorable(header, spec, shards, durability.restore_from)
-    return header, pickle.loads(payload)
 
 
 def _interrupt_reason(
@@ -324,113 +304,76 @@ def _interrupt_reason(
 
 
 # ----------------------------------------------------------------------
-# Inline serial path (shards == 1): every partition on one engine
+# Worker: one engine and the partitions packed onto it
 # ----------------------------------------------------------------------
-def _build_inline_world(spec: ShardSpec, plan: ShardPlan) -> Dict[str, object]:
-    engine = Engine()
-    links = _boundary_links(spec)
-    lookahead = _lookahead(spec, links)
-    pids = list(range(spec.n_partitions))
-    endpoints = {
-        pid: ShardEndpoint(pid, spec.window_s, lookahead) for pid in pids
-    }
-    parts = {
-        pid: spec.model(spec, plan, pid, engine, endpoints[pid])
-        for pid in pids
-    }
-    for pid in pids:
-        parts[pid].start()
-    return {
-        "engine": engine,
-        "endpoints": endpoints,
-        "parts": parts,
-        "ledger": InFlightLedger(),
-        "controller": BarrierController(
-            drain_window_count(spec.drain_s, spec.window_s), spec.max_windows
-        ),
-        "links": links,
-        "edge": 0,
-    }
+class _ShardWorker:
+    """One :class:`Engine` plus the endpoints and partition models of ``pids``.
 
+    Pickling a worker at a barrier is its checkpoint blob: no boundary
+    message is in flight inside it there (undelivered messages wait in the
+    coordinator's pending map).
+    """
 
-def _run_inline(
-    spec: ShardSpec,
-    plan: ShardPlan,
-    durability: Optional[DurabilityOptions] = None,
-    catcher: Optional[_SignalCatcher] = None,
-):
-    restored = _load_restore(spec, durability, shards=1)
-    if restored is not None:
-        world = restored[1]
-        restored_edge: Optional[int] = world["edge"]
-    else:
-        world = _build_inline_world(spec, plan)
-        restored_edge = None
+    def __init__(self, spec: ShardSpec, pids: List[int]):
+        plan = spec.plan(n_workers=1)  # layout is worker-count independent
+        lookahead = derive_lookahead(_boundary_links(spec).values())
+        if lookahead == float("inf"):  # single partition: no boundary constraint
+            lookahead = spec.boundary_latency_s
+        self.window_s = spec.window_s
+        self.pids = pids
+        self.edge = 0
+        self.engine = Engine()
+        self.endpoints = {
+            pid: ShardEndpoint(pid, spec.window_s, lookahead) for pid in pids
+        }
+        self.parts = {
+            pid: spec.model(spec, plan, pid, self.engine, self.endpoints[pid])
+            for pid in pids
+        }
+        for pid in pids:
+            self.parts[pid].start()
 
-    engine: Engine = world["engine"]
-    endpoints: Dict[int, ShardEndpoint] = world["endpoints"]
-    parts = world["parts"]
-    ledger: InFlightLedger = world["ledger"]
-    controller: BarrierController = world["controller"]
-    links = world["links"]
-    pids = list(range(spec.n_partitions))
+    @classmethod
+    def open(
+        cls, spec: ShardSpec, pids: List[int], blob: Optional[bytes]
+    ) -> "_ShardWorker":
+        """A fresh worker, or the one pickled in ``blob`` at a barrier cut."""
+        return pickle.loads(blob) if blob is not None else cls(spec, pids)
 
-    snap_every, disk_every = (
-        durability.cadences(spec.window_s) if durability is not None else (0, 0)
-    )
-    start_edge = world["edge"]
-    edge = start_edge
-    while True:
-        edge += 1
-        t_edge = edge * spec.window_s
-        engine.run_until(t_edge)
+    def advance(self) -> Tuple[List[Message], bool]:
+        """Run to the next edge; return its outbox and pre-delivery readiness."""
+        self.edge += 1
+        t_edge = self.edge * self.window_s
+        self.engine.run_until(t_edge)
         outgoing: List[Message] = []
-        for pid in pids:
-            outgoing.extend(endpoints[pid].drain_outbox())
-        all_ready = all(parts[pid].ready(t_edge) for pid in pids)
-        for msg in outgoing:
-            _route(msg, edge, ledger, links)
-            endpoints[msg.dst_pid].deposit(msg)
-        for pid in pids:
-            endpoints[pid].deliver(edge, parts[pid].on_message)
-        ledger.pop_edge(edge)
-        quiesce_now, stop_now = controller.decide(
-            edge, all_ready, ledger.in_flight_after(edge)
-        )
-        if quiesce_now:
-            for pid in pids:
-                parts[pid].quiesce()
-        if stop_now:
-            t_end = t_edge
-            break
+        for pid in self.pids:
+            outgoing.extend(self.endpoints[pid].drain_outbox())
+        return outgoing, all(self.parts[pid].ready(t_edge) for pid in self.pids)
 
-        reason = _interrupt_reason(catcher, durability, edge - start_edge)
-        periodic = snap_every > 0 and edge % snap_every == 0
-        if reason is not None or periodic:
-            world["edge"] = edge
-            path = durability.checkpoint_path if durability else None
-            write_now = path is not None and (
-                reason is not None or (disk_every > 0 and edge % disk_every == 0)
-            )
-            if write_now:
-                write_checkpoint(
-                    path,
-                    pickle.dumps(world, protocol=_PICKLE_PROTOCOL),
-                    _checkpoint_meta(spec, 1, edge),
-                )
-            if reason is not None:
-                raise RunInterrupted(spec.name, edge, t_edge, path, reason)
+    def deliver(self, msgs: List[Message], quiesce: bool) -> None:
+        """Apply this edge's messages, then quiesce if the barrier said so."""
+        for msg in msgs:
+            self.endpoints[msg.dst_pid].deposit(msg)
+        for pid in self.pids:
+            self.endpoints[pid].deliver(self.edge, self.parts[pid].on_message)
+        if quiesce:
+            for pid in self.pids:
+                self.parts[pid].quiesce()
 
-    for pid in pids:
-        _audit_partition(parts[pid], t_end, spec.audit)
-    snapshots = [parts[pid].snapshot(t_end) for pid in pids]
-    link_messages = {key: link.messages for key, link in links.items()}
-    return snapshots, [engine.events_executed], edge, t_end, link_messages, restored_edge
+    def finish(self, t_end: float, audit: str) -> Tuple[List[dict], int]:
+        """Audit every partition; return their snapshots and the event count."""
+        for part in self.parts.values():
+            AuditReport.enforce(audit, lambda: audit_run(
+                part.engine,
+                servers=part.servers,
+                scheduler=part.scheduler,
+                now=t_end,
+                **part.audit_kwargs(),
+            ))
+        snapshots = [self.parts[pid].snapshot(t_end) for pid in self.pids]
+        return snapshots, self.engine.events_executed
 
 
-# ----------------------------------------------------------------------
-# Worker process (shards > 1)
-# ----------------------------------------------------------------------
 def _fire_chaos(spec: ShardSpec, pids: List[int], edge: int) -> None:
     for cpid, cwindow, action in spec.chaos:
         if cpid in pids and cwindow == edge:
@@ -449,7 +392,8 @@ def _fire_chaos(spec: ShardSpec, pids: List[int], edge: int) -> None:
 def _shard_worker_main(
     conn, spec: ShardSpec, pids: List[int], restore_blob: Optional[bytes] = None
 ) -> None:
-    edge = 0
+    """Spawned-process body: pipe I/O and chaos around one :class:`_ShardWorker`."""
+    worker: Optional[_ShardWorker] = None
     try:
         # The coordinator owns interrupt handling: it cuts a consistent
         # checkpoint at the next barrier.  A terminal SIGINT is delivered to
@@ -458,72 +402,22 @@ def _shard_worker_main(
             signal.signal(signal.SIGINT, signal.SIG_IGN)
         except ValueError:  # pragma: no cover - non-main thread
             pass
-        if restore_blob is not None:
-            world = pickle.loads(restore_blob)
-            engine: Engine = world["engine"]
-            endpoints: Dict[int, ShardEndpoint] = world["endpoints"]
-            parts = world["parts"]
-            edge = world["edge"]
-        else:
-            plan = spec.plan(n_workers=1)  # layout is worker-count independent
-            engine = Engine()
-            links = _boundary_links(spec)
-            lookahead = _lookahead(spec, links)
-            endpoints = {
-                pid: ShardEndpoint(pid, spec.window_s, lookahead) for pid in pids
-            }
-            parts = {
-                pid: spec.model(spec, plan, pid, engine, endpoints[pid])
-                for pid in pids
-            }
-            for pid in pids:
-                parts[pid].start()
-
-        t_end: Optional[float] = None
+        worker = _ShardWorker.open(spec, pids, restore_blob)
         while True:
-            edge += 1
-            t_edge = edge * spec.window_s
-            engine.run_until(t_edge)
-            _fire_chaos(spec, pids, edge)
-            outgoing: List[Message] = []
-            for pid in pids:
-                outgoing.extend(endpoints[pid].drain_outbox())
-            all_ready = all(parts[pid].ready(t_edge) for pid in pids)
-            conn.send(("window", edge, outgoing, all_ready))
-            cmd = conn.recv()
-            op = cmd[0]
-            if op in ("deliver", "stop"):
-                for msg in cmd[1]:
-                    endpoints[msg.dst_pid].deposit(msg)
-                for pid in pids:
-                    endpoints[pid].deliver(edge, parts[pid].on_message)
-            if op == "deliver":
-                if cmd[2]:  # quiesce after this edge's deliveries
-                    for pid in pids:
-                        parts[pid].quiesce()
-                if cmd[3]:  # barrier snapshot: post-delivery, post-quiesce cut
-                    blob = pickle.dumps(
-                        {
-                            "engine": engine,
-                            "endpoints": endpoints,
-                            "parts": parts,
-                            "edge": edge,
-                        },
-                        protocol=_PICKLE_PROTOCOL,
-                    )
-                    conn.send(("ckpt", edge, blob))
-            elif op == "stop":
-                t_end = cmd[2]
-                break
-            else:
-                raise ProtocolError(f"unknown coordinator command {op!r}")
-
-        for pid in pids:
-            _audit_partition(parts[pid], t_end, spec.audit)
-        snapshots = [parts[pid].snapshot(t_end) for pid in pids]
-        conn.send(("done", snapshots, engine.events_executed))
+            outgoing, ready = worker.advance()
+            _fire_chaos(spec, pids, worker.edge)
+            conn.send(("window", worker.edge, outgoing, ready))
+            msgs, quiesce, cut, t_end = conn.recv()
+            worker.deliver(msgs, quiesce)
+            if t_end is not None:
+                conn.send(("done", worker.edge) + worker.finish(t_end, spec.audit))
+                return
+            if cut:  # barrier snapshot: post-delivery, post-quiesce cut
+                blob = pickle.dumps(worker, protocol=_PICKLE_PROTOCOL)
+                conn.send(("ckpt", worker.edge, blob))
     except Exception:
         try:
+            edge = worker.edge if worker is not None else 0
             conn.send(("error", edge, traceback.format_exc()))
         except (BrokenPipeError, OSError):  # parent already gone
             pass
@@ -532,42 +426,136 @@ def _shard_worker_main(
 
 
 # ----------------------------------------------------------------------
-# Coordinator (shards > 1)
+# Worker handles: what the coordinator loop drives
 # ----------------------------------------------------------------------
-def _recv_checked(conn, proc, worker: int, window: int, timeout_s: float):
-    """Bounded pipe read that turns worker death into a structured error."""
-    if not conn.poll(timeout_s):
-        state = "alive but unresponsive" if proc.is_alive() else (
-            f"dead (exitcode {proc.exitcode})"
+# Both handles answer the same four calls at every edge: ``report`` (the
+# worker's outbox and readiness), ``deliver`` (this edge's messages, the
+# quiesce flag, whether to cut a snapshot, and ``t_end`` on the last edge),
+# ``collect`` (the cut's blob or the final results) and ``close``.
+class _InlineHandle:
+    """``shards=1``: every partition on one engine in this process.
+
+    No pipe, no chaos hooks, and a partition exception propagates raw.
+    """
+
+    def __init__(self, spec: ShardSpec, pids: List[int], blob: Optional[bytes]):
+        self.audit = spec.audit
+        self.worker = _ShardWorker.open(spec, pids, blob)
+        self._reply: tuple = ()
+
+    def report(self, edge: int) -> Tuple[List[Message], bool]:
+        return self.worker.advance()
+
+    def deliver(
+        self,
+        edge: int,
+        msgs: List[Message],
+        quiesce: bool,
+        cut: bool,
+        t_end: Optional[float] = None,
+    ) -> None:
+        self.worker.deliver(msgs, quiesce)
+        if t_end is not None:
+            self._reply = self.worker.finish(t_end, self.audit)
+        elif cut:
+            self._reply = (pickle.dumps(self.worker, protocol=_PICKLE_PROTOCOL),)
+
+    def collect(self, edge: int, kind: str) -> tuple:
+        return self._reply
+
+    def close(self) -> None:
+        pass
+
+
+class _ProcessHandle:
+    """``shards>1``: one spawned worker behind a pipe, with bounded waits.
+
+    A dead or wedged worker surfaces as :class:`ShardCrashError` and an
+    in-worker exception as :class:`ShardError`, both naming shard and window.
+    """
+
+    def __init__(
+        self,
+        spec: ShardSpec,
+        shard: int,
+        pids: List[int],
+        blob: Optional[bytes],
+        timeout_s: float,
+    ):
+        import multiprocessing as mp
+
+        ctx = mp.get_context("spawn")
+        self.shard = shard
+        self.timeout_s = timeout_s
+        self.conn, child_conn = ctx.Pipe(duplex=True)
+        self.proc = ctx.Process(
+            target=_shard_worker_main,
+            args=(child_conn, spec, pids, blob),
+            name=f"repro-shard-{shard}",
+            daemon=True,
         )
-        raise ShardCrashError(
-            worker, window,
-            f"no barrier message within {timeout_s:.0f}s; process {state}",
-        )
-    try:
-        return conn.recv()
-    except (EOFError, ConnectionResetError):
-        proc.join(timeout=1.0)
-        raise ShardCrashError(
-            worker, window,
-            f"pipe closed mid-window (exitcode {proc.exitcode})",
-        ) from None
+        self.proc.start()
+        child_conn.close()
+
+    def report(self, edge: int) -> Tuple[List[Message], bool]:
+        return self.collect(edge, "window")
+
+    def collect(self, edge: int, kind: str) -> tuple:
+        """Bounded read of this worker's ``kind`` reply for ``edge``."""
+        if not self.conn.poll(self.timeout_s):
+            state = "alive but unresponsive" if self.proc.is_alive() else (
+                f"dead (exitcode {self.proc.exitcode})"
+            )
+            raise ShardCrashError(
+                self.shard, edge,
+                f"no barrier message within {self.timeout_s:.0f}s; process {state}",
+            )
+        try:
+            msg = self.conn.recv()
+        except (EOFError, ConnectionResetError):
+            self.proc.join(timeout=1.0)
+            raise ShardCrashError(
+                self.shard, edge,
+                f"pipe closed mid-window (exitcode {self.proc.exitcode})",
+            ) from None
+        if msg[0] == "error":
+            raise ShardError(self.shard, msg[1], msg[2])
+        if msg[0] != kind or msg[1] != edge:
+            raise ProtocolError(
+                f"shard {self.shard} out of step: expected {kind!r} for "
+                f"window {edge}, got {msg[:2]}"
+            )
+        return msg[2:]
+
+    def deliver(
+        self,
+        edge: int,
+        msgs: List[Message],
+        quiesce: bool,
+        cut: bool,
+        t_end: Optional[float] = None,
+    ) -> None:
+        try:
+            self.conn.send((msgs, quiesce, cut, t_end))
+        except (BrokenPipeError, OSError):
+            self.proc.join(timeout=1.0)
+            raise ShardCrashError(
+                self.shard, edge,
+                f"pipe closed on send (exitcode {self.proc.exitcode})",
+            ) from None
+
+    def close(self) -> None:
+        if self.proc.is_alive():
+            self.proc.terminate()
+        self.proc.join(timeout=5.0)
+        self.conn.close()
 
 
-def _send_checked(conn, proc, worker: int, window: int, payload) -> None:
-    """Pipe write that turns a vanished worker into a structured error."""
-    try:
-        conn.send(payload)
-    except (BrokenPipeError, OSError):
-        proc.join(timeout=1.0)
-        raise ShardCrashError(
-            worker, window,
-            f"pipe closed on send (exitcode {proc.exitcode})",
-        ) from None
-
-
+# ----------------------------------------------------------------------
+# Coordinator: the one window loop
+# ----------------------------------------------------------------------
 class _BarrierSnapshot:
-    """One consistent cut of a sharded run: worker blobs + coordinator state."""
+    """One consistent cut of a run: worker blobs + coordinator state."""
 
     __slots__ = ("edge", "workers", "coord")
 
@@ -588,7 +576,7 @@ class _BarrierSnapshot:
 
 
 class _Coordinator:
-    """One attempt-scoped execution of the coordinated window loop.
+    """One attempt-scoped execution of the window loop.
 
     The surrounding heal loop (:func:`_run_coordinated`) constructs a fresh
     ``_Coordinator`` per attempt; ``self.last_snapshot`` is how a failed
@@ -658,53 +646,35 @@ class _Coordinator:
 
     # -- one attempt ------------------------------------------------------
     def run_attempt(self):
-        import multiprocessing as mp
-
-        ctx = mp.get_context("spawn")
         spec = self.spec
         durability = self.durability
-        snapshot = self.last_snapshot
         links, ledger, controller, pending, edge = self._restore_coord_state(
-            snapshot
+            self.last_snapshot
         )
         start_edge = edge
         snap_every, disk_every = (
             durability.cadences(spec.window_s) if durability is not None else (0, 0)
         )
+        # Heal snapshots feed a respawn; an inline run has no process to
+        # respawn, so it cuts only for the disk or an interrupt.
+        heal_every = snap_every if self.n_workers > 1 else 0
+        path = durability.checkpoint_path if durability is not None else None
 
-        conns, procs = [], []
+        handles: List[Union[_InlineHandle, _ProcessHandle]] = []
         try:
-            for w in range(self.n_workers):
-                parent_conn, child_conn = ctx.Pipe(duplex=True)
-                blob = snapshot.workers[w] if snapshot is not None else None
-                proc = ctx.Process(
-                    target=_shard_worker_main,
-                    args=(child_conn, spec, self.worker_pids[w], blob),
-                    name=f"repro-shard-{w}",
-                    daemon=True,
+            for w, pids in enumerate(self.worker_pids):
+                blob = self.last_snapshot.workers[w] if self.last_snapshot else None
+                handles.append(
+                    _InlineHandle(spec, pids, blob)
+                    if self.n_workers == 1
+                    else _ProcessHandle(spec, w, pids, blob, self.barrier_timeout_s)
                 )
-                proc.start()
-                child_conn.close()
-                conns.append(parent_conn)
-                procs.append(proc)
-
             while True:
                 edge += 1
-                reports = []
-                for w in range(self.n_workers):
-                    msg = _recv_checked(
-                        conns[w], procs[w], w, edge, self.barrier_timeout_s
-                    )
-                    if msg[0] == "error":
-                        raise ShardError(w, msg[1], msg[2])
-                    if msg[0] != "window" or msg[1] != edge:
-                        raise ProtocolError(
-                            f"shard {w} out of step: expected window {edge}, got {msg[:2]}"
-                        )
-                    reports.append(msg)
-                all_ready = all(r[3] for r in reports)
-                for r in reports:
-                    for msg in r[2]:
+                reports = [h.report(edge) for h in handles]
+                all_ready = all(ready for _, ready in reports)
+                for outgoing, _ in reports:
+                    for msg in outgoing:
                         _route(msg, edge, ledger, links)
                         pending.setdefault(msg.due_edge, {}).setdefault(
                             self.pid_to_worker[msg.dst_pid], []
@@ -716,46 +686,28 @@ class _Coordinator:
                 )
                 if stop_now:
                     t_end = edge * spec.window_s
-                    for w in range(self.n_workers):
-                        _send_checked(
-                            conns[w], procs[w], w, edge,
-                            ("stop", due_now.get(w, []), t_end),
-                        )
+                    for w, h in enumerate(handles):
+                        h.deliver(edge, due_now.get(w, []), False, False, t_end=t_end)
                     break
 
                 reason = _interrupt_reason(
                     self.catcher, durability, edge - start_edge
                 )
-                periodic = snap_every > 0 and edge % snap_every == 0
-                want_ckpt = reason is not None or periodic
-                for w in range(self.n_workers):
-                    _send_checked(
-                        conns[w], procs[w], w, edge,
-                        ("deliver", due_now.get(w, []), quiesce_now, want_ckpt),
-                    )
-                if want_ckpt:
-                    blobs: List[bytes] = []
-                    for w in range(self.n_workers):
-                        msg = _recv_checked(
-                            conns[w], procs[w], w, edge, self.barrier_timeout_s
-                        )
-                        if msg[0] == "error":
-                            raise ShardError(w, msg[1], msg[2])
-                        if msg[0] != "ckpt" or msg[1] != edge:
-                            raise ProtocolError(
-                                f"shard {w} sent {msg[0]!r} instead of a "
-                                f"window-{edge} snapshot"
-                            )
-                        blobs.append(msg[2])
+                write_now = path is not None and (
+                    reason is not None or (disk_every > 0 and edge % disk_every == 0)
+                )
+                cut = (
+                    reason is not None
+                    or write_now
+                    or (heal_every > 0 and edge % heal_every == 0)
+                )
+                for w, h in enumerate(handles):
+                    h.deliver(edge, due_now.get(w, []), quiesce_now, cut)
+                if cut:
                     self.last_snapshot = _BarrierSnapshot(
                         edge,
-                        blobs,
+                        [h.collect(edge, "ckpt")[0] for h in handles],
                         self._coord_blob(ledger, controller, pending, links, edge),
-                    )
-                    path = durability.checkpoint_path if durability else None
-                    write_now = path is not None and (
-                        reason is not None
-                        or (disk_every > 0 and edge % disk_every == 0)
                     )
                     if write_now:
                         write_checkpoint(
@@ -770,25 +722,13 @@ class _Coordinator:
 
             snapshots: List[dict] = []
             engine_events: List[int] = []
-            for w in range(self.n_workers):
-                msg = _recv_checked(
-                    conns[w], procs[w], w, edge, self.barrier_timeout_s
-                )
-                if msg[0] == "error":
-                    raise ShardError(w, msg[1], msg[2])
-                if msg[0] != "done":
-                    raise ProtocolError(f"shard {w} sent {msg[0]!r} instead of results")
-                snapshots.extend(msg[1])
-                engine_events.append(msg[2])
-            for proc in procs:
-                proc.join(timeout=5.0)
+            for h in handles:
+                worker_snapshots, events = h.collect(edge, "done")
+                snapshots.extend(worker_snapshots)
+                engine_events.append(events)
         finally:
-            for proc in procs:
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=5.0)
-            for conn in conns:
-                conn.close()
+            for h in handles:
+                h.close()
 
         link_messages = {key: link.messages for key, link in links.items()}
         return snapshots, engine_events, edge, t_end, link_messages
@@ -801,10 +741,11 @@ def _run_coordinated(
     durability: Optional[DurabilityOptions] = None,
     catcher: Optional[_SignalCatcher] = None,
 ):
-    restored = _load_restore(spec, durability, shards=plan.n_workers)
-    snapshot = (
-        _BarrierSnapshot.from_payload(restored[1]) if restored is not None else None
-    )
+    snapshot: Optional[_BarrierSnapshot] = None
+    if durability is not None and durability.restore_from:
+        header, payload = read_checkpoint(durability.restore_from)
+        check_restorable(header, spec, plan.n_workers, durability.restore_from)
+        snapshot = _BarrierSnapshot.from_payload(pickle.loads(payload))
     restored_edge = snapshot.edge if snapshot is not None else None
 
     heal_budget = durability.heal_retries if durability is not None else 0
@@ -817,7 +758,9 @@ def _run_coordinated(
             outcome = coordinator.run_attempt()
             return outcome + (restored_edge, heals)
         except (ShardCrashError, ShardError) as err:
-            # Roll back to the last consistent cut (or a fresh start when the
+            # Only spawned workers raise these: an inline partition's
+            # exception is not a shard failure and propagates raw.  Roll
+            # back to the last consistent cut (or a fresh start when the
             # failure predates the first snapshot) and replay.  Bounded by
             # the heal budget with exponential backoff; chaos injections at
             # or before the crashed window are disarmed so the injected
@@ -853,7 +796,7 @@ def run_sharded(
     barrier_timeout_s: float = DEFAULT_BARRIER_TIMEOUT_S,
     durability: Optional[DurabilityOptions] = None,
 ) -> ShardRunResult:
-    """Execute ``spec`` on ``shards`` worker processes (1 = inline serial).
+    """Execute ``spec`` on ``shards`` workers (1 = in this process).
 
     Merged results are bit-identical across every legal ``shards`` value;
     the shard count only changes wall-clock time.  ``durability`` adds
@@ -869,16 +812,10 @@ def run_sharded(
     start = time.perf_counter()
     try:
         with _SignalCatcher(durability is not None) as catcher:
-            if shards == 1:
-                (
-                    snapshots, events, windows, t_end, link_messages, restored_edge,
-                ) = _run_inline(spec, plan, durability, catcher)
-                heals = 0
-            else:
-                (
-                    snapshots, events, windows, t_end, link_messages,
-                    restored_edge, heals,
-                ) = _run_coordinated(spec, plan, barrier_timeout_s, durability, catcher)
+            (
+                snapshots, events, windows, t_end, link_messages,
+                restored_edge, heals,
+            ) = _run_coordinated(spec, plan, barrier_timeout_s, durability, catcher)
     finally:
         if lock is not None:
             lock.release()

@@ -377,6 +377,58 @@ class _Attempt:
         self.deadline: Optional[float] = None
 
 
+def _ok_outcome(att: _Attempt, value: Any) -> PointOutcome:
+    """The ``ok`` outcome of ``att``'s current attempt, unwrapping telemetry."""
+    telemetry = None
+    if isinstance(value, PointCapture):
+        telemetry = value.payload
+        value = value.value
+    return PointOutcome(
+        index=att.point.index,
+        label=att.point.label,
+        fingerprint=att.fingerprint,
+        status="ok",
+        attempts=att.attempt,
+        duration_s=time.monotonic() - att.started,
+        value=value,
+        telemetry=telemetry,
+    )
+
+
+def _failed_outcome(att: _Attempt, status: str, error: str) -> PointOutcome:
+    """The final ``failed``/``timeout`` outcome of ``att``."""
+    return PointOutcome(
+        index=att.point.index,
+        label=att.point.label,
+        fingerprint=att.fingerprint,
+        status=status,
+        attempts=att.attempt,
+        duration_s=time.monotonic() - att.started if att.started else 0.0,
+        error=error,
+    )
+
+
+def _record_outcome(
+    outcomes: Dict[int, PointOutcome],
+    journal: Optional[SweepJournal],
+    outcome: PointOutcome,
+) -> None:
+    """Store a point's final outcome and journal it."""
+    outcomes[outcome.index] = outcome
+    if journal is not None:
+        journal.record(
+            outcome.fingerprint,
+            index=outcome.index,
+            label=outcome.label,
+            status=outcome.status,
+            attempts=outcome.attempts,
+            duration_s=outcome.duration_s,
+            value=outcome.value,
+            error=outcome.error,
+            telemetry=outcome.telemetry,
+        )
+
+
 class _PoolSupervisor:
     """Drive sweep points through a spawn pool with watchdog + retry + requeue.
 
@@ -507,27 +559,8 @@ class _PoolSupervisor:
         except Exception as exc:  # the point itself raised in the worker
             self._attempt_failed(att, "failed", f"{type(exc).__name__}: {exc}")
             return False
-        self._point_ok(att, value)
+        _record_outcome(self.outcomes, self.journal, _ok_outcome(att, value))
         return False
-
-    def _point_ok(self, att: _Attempt, value: Any) -> None:
-        duration = time.monotonic() - att.started
-        telemetry = None
-        if isinstance(value, PointCapture):
-            telemetry = value.payload
-            value = value.value
-        outcome = PointOutcome(
-            index=att.point.index,
-            label=att.point.label,
-            fingerprint=att.fingerprint,
-            status="ok",
-            attempts=att.attempt,
-            duration_s=duration,
-            value=value,
-            telemetry=telemetry,
-        )
-        self.outcomes[att.point.index] = outcome
-        self._journal(outcome)
 
     def _attempt_failed(self, att: _Attempt, status: str, error: str) -> None:
         """An attempt raised or timed out; retry with backoff or finalise."""
@@ -543,17 +576,8 @@ class _PoolSupervisor:
         self._finalise_failure(att, status, error)
 
     def _finalise_failure(self, att: _Attempt, status: str, error: str) -> None:
-        outcome = PointOutcome(
-            index=att.point.index,
-            label=att.point.label,
-            fingerprint=att.fingerprint,
-            status=status,
-            attempts=att.attempt,
-            duration_s=time.monotonic() - att.started if att.started else 0.0,
-            error=error,
-        )
-        self.outcomes[att.point.index] = outcome
-        self._journal(outcome)
+        outcome = _failed_outcome(att, status, error)
+        _record_outcome(self.outcomes, self.journal, outcome)
         if not self.options.keep_going and self.aborted is None:
             self.aborted = outcome
 
@@ -628,21 +652,6 @@ class _PoolSupervisor:
                     attempts=att.attempt - 1,
                 )
 
-    def _journal(self, outcome: PointOutcome) -> None:
-        if self.journal is None:
-            return
-        self.journal.record(
-            outcome.fingerprint,
-            index=outcome.index,
-            label=outcome.label,
-            status=outcome.status,
-            attempts=outcome.attempts,
-            duration_s=outcome.duration_s,
-            value=outcome.value,
-            error=outcome.error,
-            telemetry=outcome.telemetry,
-        )
-
 
 def _run_inline(
     name: str,
@@ -664,7 +673,7 @@ def _run_inline(
             )
             continue
         while True:
-            started = time.monotonic()
+            att.started = time.monotonic()
             try:
                 value = _execute_point(att.point, capture)
             except KeyboardInterrupt:
@@ -676,45 +685,13 @@ def _run_inline(
                     if delay > 0:
                         time.sleep(delay)
                     continue
-                outcome = PointOutcome(
-                    index=att.point.index,
-                    label=att.point.label,
-                    fingerprint=att.fingerprint,
-                    status="failed",
-                    attempts=att.attempt,
-                    duration_s=time.monotonic() - started,
-                    error=f"{type(exc).__name__}: {exc}",
+                outcome = _failed_outcome(
+                    att, "failed", f"{type(exc).__name__}: {exc}"
                 )
-                break
             else:
-                telemetry = None
-                if isinstance(value, PointCapture):
-                    telemetry = value.payload
-                    value = value.value
-                outcome = PointOutcome(
-                    index=att.point.index,
-                    label=att.point.label,
-                    fingerprint=att.fingerprint,
-                    status="ok",
-                    attempts=att.attempt,
-                    duration_s=time.monotonic() - started,
-                    value=value,
-                    telemetry=telemetry,
-                )
-                break
-        outcomes[att.point.index] = outcome
-        if journal is not None:
-            journal.record(
-                outcome.fingerprint,
-                index=outcome.index,
-                label=outcome.label,
-                status=outcome.status,
-                attempts=outcome.attempts,
-                duration_s=outcome.duration_s,
-                value=outcome.value,
-                error=outcome.error,
-                telemetry=outcome.telemetry,
-            )
+                outcome = _ok_outcome(att, value)
+            break
+        _record_outcome(outcomes, journal, outcome)
         if not outcome.ok and not options.keep_going:
             aborted = True
 

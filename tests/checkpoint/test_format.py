@@ -23,7 +23,6 @@ def _meta(spec, shards=1, edge=7):
     return {
         "scenario": spec.name,
         "fingerprint": scenario_fingerprint(spec),
-        "mode": "inline" if shards == 1 else "sharded",
         "shards": shards,
         "n_partitions": spec.n_partitions,
         "edge": edge,
@@ -83,21 +82,26 @@ class TestEnvelope:
         with pytest.raises(CheckpointError, match="cannot read checkpoint"):
             read_checkpoint(str(tmp_path / "absent.ckpt"))
 
-    def test_version_1_refused_before_unpickling(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_version_1_refused_before_unpickling(self, tmp_path, version):
         # Version-1 payloads pickle classes that no longer exist (pooled
         # idle-server cohorts; the payload below names a missing module the
-        # same way): restore must refuse on the header's format version,
-        # never reach the unpickler and its ImportError.
+        # same way), and version-3 payloads pickle a ``shards=1`` run as a
+        # bare world dict: restore must refuse on the header's format
+        # version, never reach the unpickler and its ImportError.
         spec = ScalabilitySpec()
-        ckpt = tmp_path / "v1.ckpt"
+        ckpt = tmp_path / f"v{version}.ckpt"
         path = str(ckpt)
         payload = b"crepro.removed_module\nRemovedClass\n."
         write_checkpoint(path, payload, _meta(spec))
         header_line, rest = ckpt.read_bytes().split(b"\n", 1)
         header = json.loads(header_line)
-        header["version"] = 1
+        header["version"] = version
         ckpt.write_bytes(json.dumps(header).encode() + b"\n" + rest)
-        message = f"format version 1, this build reads version {CHECKPOINT_VERSION}"
+        message = (
+            f"format version {version}, this build reads version "
+            f"{CHECKPOINT_VERSION}"
+        )
         with pytest.raises(CheckpointError, match=message):
             read_checkpoint(path)
         with pytest.raises(CheckpointError, match=message):
@@ -144,7 +148,7 @@ class TestCheckRestorable:
         path = str(tmp_path / "run.ckpt")
         write_checkpoint(path, b"p", _meta(spec, shards=1))
         header, _ = read_checkpoint(path)
-        with pytest.raises(CheckpointError, match="cut but this run is"):
+        with pytest.raises(CheckpointError, match="re-packed"):
             check_restorable(header, spec, shards=2, path=path)
 
     def test_refuses_shard_count_mismatch(self, tmp_path):

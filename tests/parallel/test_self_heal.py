@@ -24,6 +24,7 @@ from repro.parallel import (
     ShardError,
     run_sharded,
 )
+from repro.parallel.scenarios import ScalabilityPartition
 
 HEAL = DurabilityOptions(heal_retries=2, heal_backoff_s=0.05)
 
@@ -109,3 +110,26 @@ class TestSelfHeal:
     def test_kill_action_ignored_inline(self):
         result = run_sharded(_spec(chaos=((2, 3, "kill"),)), shards=1)
         assert result.merged.totals["jobs_completed"] == 200
+
+    def test_inline_partition_error_propagates_raw_and_is_not_healed(
+        self, monkeypatch, capsys
+    ):
+        # At shards=1 the partitions run in this process: their exception is
+        # the caller's own bug, not a shard failure to roll back and replay.
+        spec = _spec()
+        original = ScalabilityPartition.ready
+
+        def ready(self, edge_time):
+            if round(edge_time / spec.window_s) == 3:
+                raise RuntimeError("partition ready() failed at window 3")
+            return original(self, edge_time)
+
+        monkeypatch.setattr(ScalabilityPartition, "ready", ready)
+        with pytest.raises(RuntimeError, match="failed at window 3") as err:
+            run_sharded(
+                spec,
+                shards=1,
+                durability=DurabilityOptions(heal_retries=2, heal_backoff_s=0.01),
+            )
+        assert not isinstance(err.value, ShardError)
+        assert "healing" not in capsys.readouterr().err

@@ -16,17 +16,17 @@ the paper's figure reports::
     python -m repro faults --mtbfs 120 60 30 --retry-limit 3
     python -m repro bench --quick
 
-``--shards N`` (on ``scalability``, ``joint``, ``faults``,
-``facility-carbon`` and ``ai-training``) runs the conservative time-window
-shard engine (:mod:`repro.parallel`): the farm is split into
-``--partitions`` model partitions packed onto ``N`` workers (``1`` runs
-them in this process, more spawns one process per worker), and
+``--shards N`` (on ``scalability`` and ``joint`` only) runs the
+conservative time-window shard engine (:mod:`repro.parallel`): the farm is
+split into ``--partitions`` model partitions packed onto ``N`` workers
+(``1`` runs them in this process, more spawns one process per worker), and
 the merged report is bit-identical for every shard count — only wall-clock
 changes.  The subcommand's model flags configure the sharded scenario; a
 swept flag contributes its first value.  The ``merged ...`` lines it prints
-are the CI diff surface.
+are the CI diff surface.  A layout that cannot be split (more shards than
+partitions, more partitions than servers) exits 2 with one ``error:`` line.
 
-All but ``ai-training`` take the durable-run flags
+The same two subcommands take the durable-run flags
 (:mod:`repro.checkpoint`): ``--checkpoint PATH --checkpoint-every T``
 snapshots the whole simulation world atomically every T simulated
 seconds, ``--restore-from PATH`` resumes bit-identically from the last
@@ -73,10 +73,7 @@ from repro.experiments import (
 # Safe to import eagerly here: repro.experiments (above) is already loaded,
 # so repro.parallel.scenarios' imports of repro.experiments cannot cycle.
 from repro.parallel import (
-    AiSpec,
     DurabilityOptions,
-    FacilitySpec,
-    FaultsSpec,
     JointSpec,
     RunInterrupted,
     ScalabilitySpec,
@@ -326,11 +323,13 @@ def _run_sharded(args: argparse.Namespace, spec_type, **fields) -> None:
         audit=_audit_mode(args),
         **fields,
     )
-    result = run_sharded(
-        spec,
-        shards=args.shards if args.shards is not None else 1,
-        durability=_durability(args),
-    )
+    shards = args.shards if args.shards is not None else 1
+    try:
+        spec.plan(shards)
+    except ValueError as exc:  # a layout that cannot be split is a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+    result = run_sharded(spec, shards=shards, durability=_durability(args))
     print(result.merged.render())
     extras = ""
     if result.restored_edge is not None:
@@ -387,20 +386,6 @@ def _cmd_validate_switch(args: argparse.Namespace) -> None:
 
 
 def _cmd_faults(args: argparse.Namespace) -> None:
-    if _wants_shards(args):
-        _run_sharded(
-            args,
-            FaultsSpec,
-            n_servers=args.servers,
-            n_cores=args.cores,
-            utilization=args.utilization,
-            duration_s=args.duration,
-            mtbf_s=args.mtbfs[0],
-            mttr_s=args.mttr,
-            retry_limit=args.retry_limit,
-            slo_latency_s=args.slo,
-        )
-        return
     sweep = fault_resilience.run_fault_resilience_sweep(
         mtbf_values=args.mtbfs,
         mttr_s=args.mttr,
@@ -420,20 +405,6 @@ def _cmd_faults(args: argparse.Namespace) -> None:
 
 
 def _cmd_facility_carbon(args: argparse.Namespace) -> None:
-    if _wants_shards(args):
-        _run_sharded(
-            args,
-            FacilitySpec,
-            n_servers=args.servers,
-            n_cores=args.cores,
-            n_zones=args.zones,
-            utilization=args.utilization,
-            duration_s=args.duration,
-            setpoint_c=args.setpoints[0],
-            carbon=args.carbon[0],
-            thermal_limit_c=args.thermal_limit,
-        )
-        return
     sweep = facility_carbon.run_facility_carbon_sweep(
         setpoints_c=args.setpoints,
         carbon_profiles=args.carbon,
@@ -475,19 +446,6 @@ def _cmd_ai_training(args: argparse.Namespace) -> None:
             audit=_audit_mode(args),
         )
         print(result.render())
-        return
-    if _wants_shards(args):
-        _run_sharded(
-            args,
-            AiSpec,
-            group_size=args.group_sizes[0],
-            n_steps=args.steps,
-            algorithm=args.algorithms[0],
-            fat_tree_k=args.fat_tree_k,
-            compute_s=args.compute,
-            size_bytes=args.bytes,
-            phase_batch=args.phase_batch,
-        )
         return
     comparison = ai_training.run_ai_training_sweep(
         group_sizes=args.group_sizes,
@@ -714,9 +672,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-jobs", type=int, default=2000,
                    help="simulated jobs per grid point")
     p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="run the shard engine on N workers (1 = in this "
-                        "process) instead "
-                        "of the Fig. 11 comparison (first --utilizations "
+                   help="run the shard engine on N workers, 1 <= N <= "
+                        "--partitions (1 = in this process), instead of "
+                        "the Fig. 11 comparison (first --utilizations "
                         "value, network-aware mode); results are "
                         "bit-identical across N")
     p.add_argument("--partitions", type=int, default=2, metavar="P",
@@ -754,18 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="re-dispatch attempts before a task's job is failed")
     p.add_argument("--slo", type=float, default=None,
                    help="count jobs slower than this latency (s) as SLO violations")
-    p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="run the fault-injection reference scenario on the "
-                        "shard engine with N workers (1 = in this process) "
-                        "instead of the "
-                        "MTBF sweep (first --mtbfs value); merged results are "
-                        "bit-identical across N")
-    p.add_argument("--partitions", type=int, default=4, metavar="P",
-                   help="model partitions for --shards (each with its own "
-                        "fault injector; part of the scenario, not the "
-                        "execution)")
     common(p)
-    durable(p)
     p.set_defaults(fn=_cmd_faults)
 
     p = sub.add_parser(
@@ -788,19 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=40.0)
     p.add_argument("--thermal-limit", type=float, default=45.0,
                    help="zone temperature (°C) at which DVFS throttling engages")
-    p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="run the facility reference scenario on the shard "
-                        "engine with N workers (1 = in this process) instead "
-                        "of the "
-                        "setpoint × carbon sweep (first --setpoints and "
-                        "--carbon values); merged results are bit-identical "
-                        "across N")
-    p.add_argument("--partitions", type=int, default=4, metavar="P",
-                   help="model partitions for --shards (each with its own "
-                        "thermal/cooling loop; part of the scenario, not "
-                        "the execution)")
     common(p)
-    durable(p)
     p.set_defaults(fn=_cmd_facility_carbon)
 
     p = sub.add_parser(
@@ -834,15 +769,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--make-goal", default=None, metavar="PATH",
                    help="synthesize a training GOAL trace (first "
                         "--group-sizes value) to PATH and exit")
-    p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="run the training reference scenario on the shard "
-                        "engine with N workers (1 = in this process; first "
-                        "--group-sizes / --algorithms values); merged "
-                        "results are bit-identical across N")
-    p.add_argument("--partitions", type=int, default=2, metavar="P",
-                   help="model partitions for --shards (one fat-tree "
-                        "training cluster each; part of the scenario, not "
-                        "the execution)")
     common(p)
     p.set_defaults(fn=_cmd_ai_training)
 
@@ -854,9 +780,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep several farm sizes instead of a single run")
     p.add_argument("--shards", type=int, default=None, metavar="N",
                    help="run the conservative-window shard engine on N "
-                        "workers (1 = in this process, more = one spawned "
-                        "process each, same window loop); "
-                        "merged results are bit-identical across N")
+                        "workers, 1 <= N <= --partitions (1 = in this "
+                        "process, more = one spawned process each, same "
+                        "window loop); merged results are bit-identical "
+                        "across N")
     p.add_argument("--partitions", type=int, default=4, metavar="P",
                    help="model partitions for --shards (part of the "
                         "scenario — changing it changes results; changing "

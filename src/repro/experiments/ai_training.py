@@ -56,8 +56,7 @@ def default_phase_batch(group_size: int) -> int:
 class AiCluster:
     """One wired-up fat-tree training cluster.
 
-    Extracted from :func:`run_ai_training_point` so the sharded runtime
-    (:mod:`repro.parallel`) can build one identical cluster per partition.
+    Shared by :func:`run_ai_training_point` and :func:`run_goal_replay`.
     """
 
     farm: Farm

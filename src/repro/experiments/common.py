@@ -33,9 +33,6 @@ class Farm:
     def total_energy_j(self, now: Optional[float] = None) -> float:
         return sum(s.total_energy_j(now) for s in self.servers)
 
-    def total_power_w(self) -> float:
-        return sum(s.power_w for s in self.servers)
-
     def energy_breakdown_j(self, now: Optional[float] = None) -> Dict[str, float]:
         totals = {"cpu": 0.0, "dram": 0.0, "platform": 0.0}
         for server in self.servers:

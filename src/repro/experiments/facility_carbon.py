@@ -79,8 +79,6 @@ def build_facility(
 ) -> Facility:
     """Wire a DVFS governor and a facility loop over ``servers``.
 
-    The one facility wiring shared by :func:`run_facility_carbon_point` and
-    the sharded ``facility`` scenario (:mod:`repro.parallel.scenarios`).
     Nothing is started: callers start ``facility.governor``, then the
     facility.  ``period_s`` is the length of one carbon/price/outside
     temperature cycle.

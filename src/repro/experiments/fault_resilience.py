@@ -41,11 +41,7 @@ class FaultResiliencePoint:
 
 def build_fault_injector(farm: Farm, fault_config: FaultConfig) -> FaultInjector:
     """Give ``farm``'s scheduler the retry/SLO policy of ``fault_config`` and
-    build (not start) the farm's fault injector.
-
-    The one fault wiring shared by :func:`run_fault_resilience_point` and the
-    sharded ``faults`` scenario (:mod:`repro.parallel.scenarios`).
-    """
+    build (not start) the farm's fault injector."""
     scheduler = farm.scheduler
     scheduler.retry_limit = fault_config.retry_limit
     scheduler.retry_backoff_s = fault_config.retry_backoff_s

@@ -45,14 +45,6 @@ class Link:
     def propagation_delay_s(self) -> float:
         return self.config.propagation_delay_s
 
-    def other_end(self, node: str) -> str:
-        """The opposite endpoint of ``node``."""
-        if node == self.u:
-            return self.v
-        if node == self.v:
-            return self.u
-        raise ValueError(f"{node!r} is not an endpoint of {self}")
-
     def direction(self, src: str, dst: str) -> Tuple[str, str]:
         """Validate and normalise a direction tuple for this link."""
         if (src, dst) not in self._active:

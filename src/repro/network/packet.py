@@ -570,16 +570,6 @@ class PacketNetwork:
         self._forward(packet)
 
     # ------------------------------------------------------------------
-    def queue_depth(self, src: str, dst: str) -> int:
-        """Current output-queue depth (packets) for a directed hop.
-
-        Packets inside an in-flight train are not visible here until the
-        train materializes; reserved hops report 0.
-        """
-        key = (src, dst)
-        queue = self._queues.get(key)
-        return queue.depth if queue is not None else 0
-
     def __repr__(self) -> str:
         return (
             f"<PacketNetwork delivered={self.packets_delivered} "

@@ -157,36 +157,6 @@ class Router:
         except ValueError:
             return None
 
-    def equal_cost_paths(self, src: str, dst: str) -> List[List[str]]:
-        """All shortest node paths from ``src`` to ``dst``, sorted.
-
-        Enumerates the next-hop DAG by DFS; the result can be exponential in
-        path diversity, so hot paths should prefer :meth:`route`.
-        """
-        if src == dst:
-            return [[src]]
-        table = self._table(dst)
-        if src not in table.next_hops:
-            raise ValueError(f"no path between {src!r} and {dst!r}")
-        next_hops = table.next_hops
-        paths: List[List[str]] = []
-        stack: List[str] = [src]
-
-        def expand(node: str) -> None:
-            if node == dst:
-                paths.append(list(stack))
-                return
-            for nh in next_hops[node]:
-                stack.append(nh)
-                expand(nh)
-                stack.pop()
-
-        expand(src)
-        # next_hops tuples are sorted, so DFS already emits paths in
-        # lexicographic order; sort() is a cheap no-op guard.
-        paths.sort()
-        return paths
-
     # ------------------------------------------------------------------
     # Power-aware routing (§IV-D)
     # ------------------------------------------------------------------

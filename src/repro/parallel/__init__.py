@@ -29,23 +29,17 @@ from repro.parallel.runtime import (
 )
 from repro.parallel.scenarios import (
     FRONTEND_PID,
-    AiSpec,
-    FacilitySpec,
-    FaultsSpec,
     JointSpec,
     ScalabilitySpec,
     ShardSpec,
 )
 
 __all__ = [
-    "AiSpec",
     "BarrierController",
     "DEFAULT_BARRIER_TIMEOUT_S",
     "DEFAULT_HEAL_SNAPSHOT_WINDOWS",
     "DurabilityOptions",
     "FRONTEND_PID",
-    "FacilitySpec",
-    "FaultsSpec",
     "InFlightLedger",
     "JointSpec",
     "MergedStats",

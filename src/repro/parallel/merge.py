@@ -22,12 +22,8 @@ from typing import Dict, List, Tuple
 from repro.core.stats import LatencyCollector
 from repro.runner.journal import stable_repr
 
-#: Snapshot keys that are not merged numerically.
+#: Snapshot keys that are not summed.
 _SKIP_KEYS = {"pid", "journal", "job_latency", "task_queue_delay"}
-#: Keys merged by max rather than sum.
-_MAX_KEYS = {"facility_peak_zone_temp_c"}
-#: Keys merged by (partition-ordered) arithmetic mean rather than sum.
-_MEAN_KEYS = {"availability", "facility_mean_pue"}
 
 
 @dataclass
@@ -104,21 +100,11 @@ def merge_snapshots(
         raise ValueError("snapshots must cover partitions 0..P-1 exactly once")
 
     totals: Dict[str, object] = {}
-    means: Dict[str, List[float]] = {}
     for snap in snapshots:
         for key, value in snap.items():
-            if key in _SKIP_KEYS or not isinstance(value, (bool, int, float)):
+            if key in _SKIP_KEYS or not isinstance(value, (int, float)):
                 continue
-            if key in _MEAN_KEYS:
-                means.setdefault(key, []).append(float(value))
-            elif key in _MAX_KEYS:
-                totals[key] = max(totals.get(key, value), value)
-            elif isinstance(value, bool):
-                totals[key] = totals.get(key, 0) + int(value)
-            else:
-                totals[key] = totals.get(key, 0) + value
-    for key, values in means.items():
-        totals[key] = sum(values) / len(values)
+            totals[key] = totals.get(key, 0) + value
 
     latency = LatencyCollector("merged_job_latency")
     for snap in snapshots:

@@ -368,7 +368,6 @@ class _ShardWorker:
                 servers=part.servers,
                 scheduler=part.scheduler,
                 now=t_end,
-                **part.audit_kwargs(),
             ))
         snapshots = [self.parts[pid].snapshot(t_end) for pid in self.pids]
         return snapshots, self.engine.events_executed

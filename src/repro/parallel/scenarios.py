@@ -9,8 +9,8 @@ A scenario here is a farm split into ``P`` fixed partitions that interact
   (:meth:`~repro.scheduling.shard_map.ShardPlan.route_job`), dispatching it
   as a ``"job"`` boundary message;
 * each partition owns its servers, scheduler and per-partition subsystems
-  (fault injector, facility, DVFS governor, joint energy manager), all
-  seeded from ``RandomSource(seed).spawn(f"part{pid}")``;
+  (the joint energy manager), all seeded from
+  ``RandomSource(seed).spawn(f"part{pid}")``;
 * completions/failures flow back to the front end as ``"ack"`` messages.
 
 Because partitions share no state and the bus quantizes every interaction to
@@ -21,16 +21,13 @@ bit-identity property the determinism tests assert.
 Each scenario is one :class:`ShardSpec` subclass next to its
 :class:`PartitionModel`; the spec's type picks the model.  A partition wires
 its farm with the same builder its serial experiment uses
-(:func:`~repro.experiments.common.build_farm`,
-:func:`~repro.experiments.fault_resilience.build_fault_injector`,
-:func:`~repro.experiments.facility_carbon.build_facility`,
-:func:`~repro.experiments.joint_energy.build_joint_cluster`,
-:func:`~repro.experiments.ai_training.build_ai_cluster`).  Only the front end
-differs from the serial run on purpose: the serial experiments' zero-delay
-scheduler→server calls would force a zero lookahead, which serializes
-shards, so dispatch here pays one quantized boundary latency — the price of
-parallelism the DESIGN.md protocol section derives — and each partition
-draws from its own seed.
+(:func:`~repro.experiments.common.build_farm` or
+:func:`~repro.experiments.joint_energy.build_joint_cluster`).  Only the
+front end differs from the serial run on purpose: the serial experiments'
+zero-delay scheduler→server calls would force a zero lookahead, which
+serializes shards, so dispatch here pays one quantized boundary latency —
+the price of parallelism the DESIGN.md protocol section derives — and each
+partition draws from its own seed.
 """
 
 from __future__ import annotations
@@ -40,14 +37,10 @@ from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.collective import training_step_job
-from repro.core.config import FaultConfig, small_cloud_server
+from repro.core.config import small_cloud_server
 from repro.core.engine import Engine
 from repro.core.rng import RandomSource, exponential
-from repro.experiments.ai_training import build_ai_cluster, default_phase_batch
 from repro.experiments.common import build_farm
-from repro.experiments.facility_carbon import build_facility
-from repro.experiments.fault_resilience import build_fault_injector
 from repro.experiments.joint_energy import _DagJobFactory, build_joint_cluster
 from repro.jobs.task import Job
 from repro.parallel.protocol import EngineClock, Message, ShardEndpoint
@@ -94,9 +87,6 @@ class ShardSpec:
     model: ClassVar[type]
     #: A run still open after this many windows is a bug, not a long run.
     max_windows: ClassVar[int] = 200_000
-    #: Simulated span the front end keeps open; ``None`` ends at the last
-    #: ack.  Scenarios with a fixed span redeclare it as a field.
-    duration_s: ClassVar[Optional[float]] = None
 
     def __post_init__(self) -> None:
         if self.window_s <= 0 or self.boundary_latency_s <= 0:
@@ -173,15 +163,11 @@ class FrontEnd:
         else:
             self.acks_failed += 1
 
-    def ready(self, edge_time: float) -> bool:
+    def ready(self) -> bool:
         """Drain-readiness, evaluated at a barrier *before* its deliveries."""
-        if not self.source_done:
-            return False
-        if self.acks_ok + self.acks_failed < self.jobs_dispatched:
-            return False
-        if self.spec.duration_s is not None and edge_time < self.spec.duration_s:
-            return False
-        return True
+        return self.source_done and (
+            self.acks_ok + self.acks_failed >= self.jobs_dispatched
+        )
 
     def snapshot(self) -> Dict[str, object]:
         return {
@@ -200,15 +186,6 @@ class ExponentialDraw(ExponentialService):
 
     def __call__(self, rng: np.random.Generator) -> tuple:
         return (self.sample(rng),)
-
-
-class EmptyDraw:
-    """No per-job draws: the job is a pure function of spec + job index."""
-
-    __slots__ = ()
-
-    def __call__(self, rng: np.random.Generator) -> tuple:
-        return ()
 
 
 # ----------------------------------------------------------------------
@@ -240,8 +217,6 @@ class PartitionModel:
         self.n_local = plan.partition_size(pid)
         self.servers: List = []
         self.scheduler = None
-        self.facility = None
-        self.availability = ()
         self._build()
         self.scheduler.on_job_complete = self._ack_ok
         self.scheduler.on_job_failed = self._ack_failed
@@ -295,7 +270,7 @@ class PartitionModel:
         """Only the front-end partition gates the drain; others always agree."""
         if self.frontend is None:
             return True
-        return self.frontend.ready(edge_time)
+        return self.frontend.ready()
 
     def quiesce(self) -> None:
         """Stop periodic controllers so the drain windows can settle."""
@@ -329,12 +304,6 @@ class PartitionModel:
     def extra_snapshot(self, t_end: float) -> Dict[str, object]:
         return {}
 
-    def audit_kwargs(self) -> Dict[str, object]:
-        return {
-            "availability": tuple(self.availability),
-            "facility": self.facility,
-        }
-
 
 class ScalabilityPartition(PartitionModel):
     """Plain farm under round-robin dispatch (the Table I shape)."""
@@ -347,7 +316,6 @@ class ScalabilityPartition(PartitionModel):
             seed=self.part_seed,
             engine=self.engine,
         )
-        self.farm = farm
         self.servers = farm.servers
         self.scheduler = farm.scheduler
 
@@ -373,114 +341,6 @@ class ScalabilitySpec(ShardSpec):
     model: ClassVar[type] = ScalabilityPartition
     n_cores: ClassVar[int] = 4
     utilization: ClassVar[float] = 0.3
-    mean_service_s: ClassVar[float] = 0.005
-
-
-class FaultsPartition(ScalabilityPartition):
-    """Scalability farm plus a per-partition fault injector with retries."""
-
-    def _build(self) -> None:
-        super()._build()
-        spec = self.spec
-        self.injector = build_fault_injector(
-            self.farm,
-            FaultConfig(
-                enabled=True,
-                server_mtbf_s=spec.mtbf_s,
-                server_mttr_s=spec.mttr_s,
-                retry_limit=spec.retry_limit,
-                slo_latency_s=spec.slo_latency_s,
-            ),
-        )
-
-    def start(self) -> None:
-        self.injector.start()
-        super().start()
-
-    def quiesce(self) -> None:
-        self.injector.stop()
-
-    def audit_kwargs(self) -> Dict[str, object]:
-        # Read the trackers at audit time (they are created by start());
-        # holding a live dict view on self would break world pickling.
-        kwargs = super().audit_kwargs()
-        kwargs["availability"] = tuple(self.injector.trackers.values())
-        return kwargs
-
-    def extra_snapshot(self, t_end: float) -> Dict[str, object]:
-        summary = self.injector.summary(t_end)
-        return {
-            "availability": summary["fleet_availability"],
-            "failures_injected": summary["failures_injected"],
-        }
-
-
-@dataclass
-class FaultsSpec(ShardSpec):
-    """Sharded fault-resilience reference: per-partition MTBF/MTTR faulting."""
-
-    n_servers: int = 24
-    n_jobs: int = 300
-    n_cores: int = 2
-    utilization: float = 0.3
-    duration_s: float = 12.0
-    mtbf_s: float = 8.0
-    mttr_s: float = 2.0
-    retry_limit: int = 3
-    slo_latency_s: Optional[float] = None
-
-    name: ClassVar[str] = "faults"
-    model: ClassVar[type] = FaultsPartition
-    mean_service_s: ClassVar[float] = 0.005
-
-
-class FacilityPartition(ScalabilityPartition):
-    """Scalability farm plus a per-partition facility loop + DVFS governor."""
-
-    def _build(self) -> None:
-        super()._build()
-        spec = self.spec
-        self.facility = build_facility(
-            self.engine,
-            self.servers,
-            spec.setpoint_c,
-            carbon=spec.carbon,
-            n_zones=spec.n_zones,
-            thermal_limit_c=spec.thermal_limit_c,
-            period_s=spec.duration_s,
-        )
-
-    def start(self) -> None:
-        self.facility.governor.start()
-        self.facility.start(until=self.spec.duration_s)
-        super().start()
-
-    def quiesce(self) -> None:
-        self.facility.stop()
-        self.facility.governor.stop()
-
-    def extra_snapshot(self, t_end: float) -> Dict[str, object]:
-        summary = self.facility.summary(t_end)
-        return {f"facility_{k}": v for k, v in sorted(summary.items())}
-
-
-@dataclass
-class FacilitySpec(ShardSpec):
-    """Sharded facility-carbon reference: per-partition thermal/cooling loop."""
-
-    n_servers: int = 16
-    n_jobs: int = 300
-    n_cores: int = 2
-    utilization: float = 0.6
-    duration_s: float = 12.0
-    setpoint_c: float = 26.0
-    carbon: str = "solar"
-    #: Thermal zones per partition.
-    n_zones: int = 1
-    thermal_limit_c: float = 45.0
-
-    name: ClassVar[str] = "facility"
-    model: ClassVar[type] = FacilityPartition
     mean_service_s: ClassVar[float] = 0.005
 
 
@@ -564,93 +424,3 @@ class JointSpec(ShardSpec):
     @property
     def n_servers(self) -> int:
         return self.n_partitions * self.fat_tree_k**3 // 4
-
-
-class AiPartition(PartitionModel):
-    """One fat-tree training cluster per partition (collective workloads).
-
-    Each ``"job"`` message rebuilds a deterministic synchronized-training
-    job (:func:`repro.collective.training_step_job`) from the spec and the
-    job index alone, so the sharded run is a pure function of the scenario.
-    """
-
-    def _build(self) -> None:
-        spec = self.spec
-        cluster = build_ai_cluster(
-            self.engine,
-            k=spec.fat_tree_k,
-            n_cores=spec.n_cores,
-            link_rate_bps=spec.link_rate_bps,
-        )
-        self.cluster = cluster
-        self.servers = cluster.farm.servers
-        self.scheduler = cluster.farm.scheduler
-
-    def arrival_rate(self) -> float:
-        # One training job roughly every job-length of compute; the exact
-        # value only shapes overlap, determinism does not depend on it.
-        spec = self.spec
-        return 1.0 / max(spec.n_steps * spec.compute_s, 1e-3)
-
-    def draw_services(self):
-        return EmptyDraw()
-
-    def _build_job(self, payload: tuple, now: float) -> Job:
-        spec = self.spec
-        (idx,) = payload
-        batch = spec.phase_batch
-        if batch is None:
-            batch = default_phase_batch(spec.group_size)
-        return training_step_job(
-            spec.group_size,
-            spec.n_steps,
-            compute_s=spec.compute_s,
-            size_bytes=spec.size_bytes,
-            algorithm=spec.algorithm,
-            phase_batch=batch,
-            arrival_time=now,
-            job_id=idx,
-        )
-
-    def extra_snapshot(self, t_end: float) -> Dict[str, object]:
-        net = self.cluster.network
-        placement = self.cluster.placement
-        return {
-            "network_energy_j": self.cluster.topo.network_energy_j(t_end),
-            "bytes_delivered": net.bytes_delivered,
-            "trains_engaged": net.trains_engaged,
-            "trains_materialized": net.trains_materialized,
-            "transfers_launched": self.scheduler.transfers_launched,
-            "groups_placed": placement.groups_placed,
-            "cross_pod_spills": placement.cross_pod_spills,
-        }
-
-
-@dataclass
-class AiSpec(ShardSpec):
-    """Sharded ai-training reference: one fat-tree training cluster each,
-    one training job per partition."""
-
-    n_partitions: int = 2
-    seed: int = 11
-    group_size: int = 8
-    n_steps: int = 2
-    algorithm: str = "ring"
-    fat_tree_k: int = 4
-    compute_s: float = 0.05
-    size_bytes: float = 4e6
-    #: ``None`` selects :func:`repro.experiments.ai_training.default_phase_batch`.
-    phase_batch: Optional[int] = None
-
-    name: ClassVar[str] = "ai"
-    model: ClassVar[type] = AiPartition
-    n_cores: ClassVar[int] = 4
-    link_rate_bps: ClassVar[float] = 10e9
-
-    @property
-    def n_servers(self) -> int:
-        return self.n_partitions * self.fat_tree_k**3 // 4
-
-    @property
-    def n_jobs(self) -> int:
-        return self.n_partitions

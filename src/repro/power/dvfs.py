@@ -65,26 +65,13 @@ class DvfsGovernor:
         #: Per-server frequency ceiling (GHz), set by thermal throttling.
         self.frequency_caps: Dict[int, float] = {}
         self._started = False
-        self._stopped = False
 
     def start(self) -> None:
         """Begin periodic frequency adjustment."""
         if self._started:
             return
         self._started = True
-        self._stopped = False
         self.engine.post(self.interval_s, self._tick)
-
-    def stop(self) -> None:
-        """Quiesce the governor: the tick chain ends at the next queued tick.
-
-        The pending tick is a fire-and-forget ``post`` and cannot be
-        cancelled; it fires once more, sees the flag, and does nothing — so
-        the event queue can drain.  The sharded runtime calls this at the
-        drain barrier; :meth:`start` re-arms.
-        """
-        self._stopped = True
-        self._started = False
 
     # -- frequency caps (thermal throttle interface) --------------------
     def set_frequency_cap(self, server: "Server", max_frequency_ghz: float) -> None:
@@ -113,8 +100,6 @@ class DvfsGovernor:
         return allowed if allowed else ladder[:1]
 
     def _tick(self) -> None:
-        if self._stopped:
-            return
         for server in self.servers:
             if not server.can_execute:
                 continue

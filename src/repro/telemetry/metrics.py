@@ -132,10 +132,6 @@ class MetricsRegistry:
     def to_json(self, path: str, include_series_points: bool = False) -> None:
         write_metrics_json(path, self.snapshot(include_series_points))
 
-    def to_csv(self, fh: IO[str]) -> None:
-        write_metrics_csv(fh, self.snapshot())
-
-
 def _flatten(snapshot: dict, prefix: str = "") -> List[Tuple[str, str, str, Any]]:
     """(label, section, metric, value) rows for CSV export."""
     rows: List[Tuple[str, str, str, Any]] = []

@@ -13,12 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.parallel import (
-    FacilitySpec,
-    FaultsSpec,
-    ScalabilitySpec,
-    run_sharded,
-)
+from repro.parallel import JointSpec, ScalabilitySpec, run_sharded
 
 
 def _render_and_fingerprint(spec, shards):
@@ -35,23 +30,13 @@ class TestShardDeterminism:
         assert _render_and_fingerprint(spec, 2) == baseline
         assert _render_and_fingerprint(spec, 4) == baseline
 
-    def test_fault_resilience_identical_at_1_2_4_shards(self):
-        spec = FaultsSpec(
-            n_servers=24, n_jobs=150, duration_s=4.0, audit="strict"
-        )
+    def test_joint_identical_at_1_and_2_shards(self):
+        # The network scenario: DAG jobs whose stage transfers cross a
+        # fat tree under the joint energy manager.
+        spec = JointSpec(n_jobs=40, audit="strict")
         baseline = _render_and_fingerprint(spec, 1)
         assert _render_and_fingerprint(spec, 2) == baseline
-        assert _render_and_fingerprint(spec, 4) == baseline
-        # Faults actually fired — the scenario exercises failure paths.
-        assert "failures_injected=0" not in baseline[0]
-
-    def test_facility_carbon_identical_at_1_2_4_shards(self):
-        spec = FacilitySpec(
-            n_servers=16, n_jobs=150, duration_s=4.0, audit="strict"
-        )
-        baseline = _render_and_fingerprint(spec, 1)
-        assert _render_and_fingerprint(spec, 2) == baseline
-        assert _render_and_fingerprint(spec, 4) == baseline
+        assert "manager_activations=0" not in baseline[0]
 
     def test_seed_changes_fingerprint(self):
         # The fingerprint is a real witness: different traffic → different

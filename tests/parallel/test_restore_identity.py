@@ -1,4 +1,4 @@
-"""Checkpoint→restore bit-identity on the four reference scenarios.
+"""Checkpoint→restore bit-identity on the reference scenarios.
 
 The durability contract: interrupting a run at *any* window barrier, writing
 a checkpoint, and restoring it in a fresh process-level context must produce
@@ -18,8 +18,6 @@ import pytest
 
 from repro.parallel import (
     DurabilityOptions,
-    FacilitySpec,
-    FaultsSpec,
     JointSpec,
     RunInterrupted,
     ScalabilitySpec,
@@ -29,12 +27,6 @@ from repro.parallel import (
 SPECS = {
     "scalability": lambda: ScalabilitySpec(
         n_servers=32, n_jobs=200, audit="strict"
-    ),
-    "faults": lambda: FaultsSpec(
-        n_servers=24, n_jobs=150, duration_s=4.0, audit="strict"
-    ),
-    "facility": lambda: FacilitySpec(
-        n_servers=16, n_jobs=150, duration_s=4.0, audit="strict"
     ),
     "joint": lambda: JointSpec(n_jobs=40, audit="strict"),
 }

@@ -65,7 +65,7 @@ class TestParser:
             )
 
     def test_durability_flags_on_every_shard_command(self):
-        for command in ("scalability", "joint", "faults", "facility-carbon"):
+        for command in ("scalability", "joint"):
             args = build_parser().parse_args(
                 [command, "--checkpoint", "run.ckpt", "--checkpoint-every",
                  "0.5", "--shard-retries", "2"]
@@ -191,21 +191,34 @@ class TestExecution:
         ]
         assert merged(restored) == merged(reference)
 
-    @pytest.mark.parametrize("command, flag, a, b", [
-        (["faults", "--servers", "8", "--duration", "4"], "--mtbfs", "5", "500"),
-        (["facility-carbon", "--servers", "8", "--duration", "4"],
-         "--zones", "1", "2"),
-        (["ai-training", "--group-sizes", "4"], "--compute", "0.05", "0.5"),
+    @pytest.mark.parametrize("argv, message", [
+        (["scalability", "--servers", "8", "--shards", "9"],
+         "workers must be in [1, n_partitions=4], got 9"),
+        (["scalability", "--shards", "0"],
+         "workers must be in [1, n_partitions=4], got 0"),
+        (["scalability", "--shards", "1", "--partitions", "0"],
+         "need >= 1 partition, got 0"),
+        (["scalability", "--servers", "2", "--shards", "1", "--partitions", "4"],
+         "cannot split 2 servers into 4 partitions"),
+        (["joint", "--shards", "3"],
+         "workers must be in [1, n_partitions=2], got 3"),
+        # The serial-only commands have no shard engine to configure.
+        (["faults", "--shards", "1"], "unrecognized arguments: --shards 1"),
+        (["facility-carbon", "--partitions", "2"],
+         "unrecognized arguments: --partitions 2"),
+        (["ai-training", "--checkpoint", "run.ckpt"],
+         "unrecognized arguments: --checkpoint run.ckpt"),
+    ], ids=[
+        "too-many-shards", "zero-shards", "zero-partitions",
+        "partitions-over-servers", "joint-too-many-shards",
+        "faults-shards", "facility-partitions", "ai-checkpoint",
     ])
-    def test_sharded_run_honours_model_flags(self, capsys, command, flag, a, b):
-        def merged(value):
-            main(command + [flag, value, "--shards", "1"])
-            out = capsys.readouterr().out
-            return [l for l in out.splitlines() if l.startswith("merged ")]
-
-        first = merged(a)
-        assert first, "sharded run produced no merged lines"
-        assert merged(b) != first
+    def test_bad_shard_input_is_a_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith("error: " + message), err
 
     def test_bench_quick_smoke(self, capsys, tmp_path):
         import json
@@ -322,7 +335,7 @@ class TestObservabilityFlags:
         assert args.steps == 4
         assert args.goal_trace is None
         assert args.make_goal is None
-        assert args.shards is None
+        assert not hasattr(args, "shards")
 
     def test_ai_training_rejects_unknown_algorithm(self):
         with pytest.raises(SystemExit):
